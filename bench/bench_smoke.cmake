@@ -18,9 +18,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 # --hist adds the per-variant tail-latency histogram block to the JSON;
 # compare gates it two-sided whenever the baseline carries one.
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E env
-    SCC_BENCH_FROM=552 SCC_BENCH_TO=552 SCC_BENCH_REPS=2
-    "${FIG9F}" --hist
+  COMMAND "${FIG9F}" --from=552 --to=552 --reps=2 --hist
   WORKING_DIRECTORY "${WORK_DIR}"
   RESULT_VARIABLE bench_rc)
 if(NOT bench_rc EQUAL 0)

@@ -5,9 +5,7 @@
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
-  scc::bench::register_figure("fig9a_allgather",
-                              scc::harness::Collective::kAllgather,
-                              /*default_step=*/8);
   return scc::bench::figure_main(argc, argv, "fig9a_allgather",
-                                 scc::harness::Collective::kAllgather);
+                                 scc::harness::Collective::kAllgather,
+                                 /*default_step=*/8);
 }

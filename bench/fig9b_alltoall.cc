@@ -5,9 +5,7 @@
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
-  scc::bench::register_figure("fig9b_alltoall",
-                              scc::harness::Collective::kAlltoall,
-                              /*default_step=*/8);
   return scc::bench::figure_main(argc, argv, "fig9b_alltoall",
-                                 scc::harness::Collective::kAlltoall);
+                                 scc::harness::Collective::kAlltoall,
+                                 /*default_step=*/8);
 }

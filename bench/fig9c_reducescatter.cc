@@ -5,9 +5,7 @@
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
-  scc::bench::register_figure("fig9c_reducescatter",
-                              scc::harness::Collective::kReduceScatter,
-                              /*default_step=*/2);
   return scc::bench::figure_main(argc, argv, "fig9c_reducescatter",
-                                 scc::harness::Collective::kReduceScatter);
+                                 scc::harness::Collective::kReduceScatter,
+                                 /*default_step=*/2);
 }

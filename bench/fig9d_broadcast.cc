@@ -5,9 +5,7 @@
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
-  scc::bench::register_figure("fig9d_broadcast",
-                              scc::harness::Collective::kBroadcast,
-                              /*default_step=*/2);
   return scc::bench::figure_main(argc, argv, "fig9d_broadcast",
-                                 scc::harness::Collective::kBroadcast);
+                                 scc::harness::Collective::kBroadcast,
+                                 /*default_step=*/2);
 }

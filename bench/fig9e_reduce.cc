@@ -5,9 +5,7 @@
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
-  scc::bench::register_figure("fig9e_reduce",
-                              scc::harness::Collective::kReduce,
-                              /*default_step=*/2);
   return scc::bench::figure_main(argc, argv, "fig9e_reduce",
-                                 scc::harness::Collective::kReduce);
+                                 scc::harness::Collective::kReduce,
+                                 /*default_step=*/2);
 }

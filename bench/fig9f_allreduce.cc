@@ -5,9 +5,7 @@
 #include "bench_support.hpp"
 
 int main(int argc, char** argv) {
-  scc::bench::register_figure("fig9f_allreduce",
-                              scc::harness::Collective::kAllreduce,
-                              /*default_step=*/2);
   return scc::bench::figure_main(argc, argv, "fig9f_allreduce",
-                                 scc::harness::Collective::kAllreduce);
+                                 scc::harness::Collective::kAllreduce,
+                                 /*default_step=*/2);
 }

@@ -45,7 +45,6 @@
 #include "exec/executor.hpp"
 #include "harness/pdes_scenario.hpp"
 #include "harness/sweep.hpp"
-#include "sim/calendar_queue.hpp"
 #include "sim/engine.hpp"
 #include "sim/event_heap.hpp"
 
@@ -83,27 +82,31 @@ struct Row {
 
 /// The queue-structure microbench: the engine_hot_loop event pattern (64
 /// interleaved self-rescheduling chains, jittered increments) run directly
-/// against a priority-queue implementation -- no engine, no callables, so
-/// the rows isolate the data structure itself (MoveHeap vs CalendarQueue).
+/// against the engine's MoveHeap -- no engine, no callables, so the row
+/// isolates the data structure itself.
 struct QItem {
   std::uint64_t key = 0;
   std::uint64_t seq = 0;
 };
 
-template <typename Queue>
-std::uint64_t drive_queue(Queue& queue, std::uint64_t pops) {
+struct QGreater {
+  bool operator()(const QItem& a, const QItem& b) const {
+    if (a.key != b.key) return a.key > b.key;
+    return a.seq > b.seq;
+  }
+};
+
+void drive_queue(scc::sim::MoveHeap<QItem, QGreater>& queue,
+                 std::uint64_t pops) {
   constexpr std::uint64_t kChains = 64;
   std::uint64_t seq = 0;
   for (std::uint64_t i = 0; i < kChains; ++i)
     queue.push(QItem{i * 7, seq++});
-  std::uint64_t checksum = 0;
   for (std::uint64_t n = 0; n < pops; ++n) {
     const QItem item = queue.pop_min();
-    checksum ^= item.key + item.seq;
     const std::uint64_t jitter = (item.seq * 2654435761ULL >> 13) & 63;
     queue.push(QItem{item.key + 1 + jitter, seq++});
   }
-  return checksum;
 }
 
 }  // namespace
@@ -218,51 +221,17 @@ int main(int argc, char** argv) {
                          result.events, ms_since(t0), /*gated=*/false});
     }
 
-    // Scenarios 7/8: the queue-structure microbench. Identical event
-    // streams; same pop order by the total-order contract (the
-    // differential tests pin that down) -- the checksum comparison below
-    // is a cheap cross-check.
-    const auto queue_pops = static_cast<std::uint64_t>(events_target);
-    std::uint64_t heap_checksum = 0, calendar_checksum = 0;
+    // Scenario 7: the queue-structure microbench.
     {
-      struct QGreater {
-        bool operator()(const QItem& a, const QItem& b) const {
-          if (a.key != b.key) return a.key > b.key;
-          return a.seq > b.seq;
-        }
-      };
       scc::sim::MoveHeap<QItem, QGreater> heap;
+      const auto queue_pops = static_cast<std::uint64_t>(events_target);
       const auto t0 = Clock::now();
-      heap_checksum = drive_queue(heap, queue_pops);
+      drive_queue(heap, queue_pops);
       rows.push_back(
           Row{"queue_moveheap", queue_pops, ms_since(t0), /*gated=*/true});
     }
-    {
-      struct QLess {
-        bool operator()(const QItem& a, const QItem& b) const {
-          if (a.key != b.key) return a.key < b.key;
-          return a.seq < b.seq;
-        }
-      };
-      struct QKey {
-        std::uint64_t operator()(const QItem& a) const { return a.key; }
-      };
-      scc::sim::CalendarQueue<QItem, QLess, QKey> calendar;
-      const auto t0 = Clock::now();
-      calendar_checksum = drive_queue(calendar, queue_pops);
-      rows.push_back(
-          Row{"queue_calendar", queue_pops, ms_since(t0), /*gated=*/true});
-    }
-    if (heap_checksum != calendar_checksum) {
-      std::fprintf(stderr,
-                   "queue microbench checksum mismatch (heap %llx vs "
-                   "calendar %llx): pop orders diverged\n",
-                   static_cast<unsigned long long>(heap_checksum),
-                   static_cast<unsigned long long>(calendar_checksum));
-      return 2;
-    }
 
-    // Scenarios 9-11: the full collective workload on the PARTITIONED
+    // Scenarios 8-10: the full collective workload on the PARTITIONED
     // machine -- the same spotlight Allreduce as scenario 2, but with the
     // machine sharded into column slabs and drained by the
     // conservative-PDES engine. The workers1 row is the pure partitioning

@@ -2,8 +2,7 @@
 // max:min ratios of the standard (RCCE_comm) and balanced (paper) split
 // policies for the three vector lengths the figure shows, plus the
 // worst/best cases across the whole 500..700 sweep.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <iostream>
 
 #include "bench_support.hpp"
@@ -11,25 +10,8 @@
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 
-namespace {
-
-void bench_split(benchmark::State& state) {
-  // The split itself is nanoseconds of host work; benchmarked for
-  // completeness of the binary.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scc::coll::split_blocks(n, 48, scc::coll::SplitPolicy::kBalanced));
-  }
-}
-BENCHMARK(bench_split)->Arg(528)->Arg(552)->Arg(575);
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
+  scc::bench::read_flags(argc, argv, [](const scc::CliFlags&) {});
 
   using scc::coll::imbalance_ratio;
   using scc::coll::split_blocks;
@@ -63,8 +45,6 @@ int main(int argc, char** argv) {
       "\nworst case over 500..700 elements: standard %.1f:1, balanced "
       "%.2f:1\n(paper: up to 5.3:1 vs at most 1.1:1)\n",
       worst_std, worst_bal);
-  std::filesystem::create_directories("bench_results");
-  table.write_csv_file("bench_results/tab_block_split.csv");
-  table.write_json_file("bench_results/tab_block_split.json", "tab_block_split");
+  scc::bench::write_table("tab_block_split", table);
   return 0;
 }

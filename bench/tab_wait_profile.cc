@@ -4,11 +4,12 @@
 // for an Allreduce under each variant, plus the GCMC application's
 // blocking-stack profile.
 //
-// Besides the shared --metrics=<path> / --blame instrumentation flags
-// (bench_support.hpp), --trace=<path> records every profiled run into one
-// chrome://tracing file (one run scope per variant).
-#include <benchmark/benchmark.h>
-
+//   tab_wait_profile [--cycles=N] [--metrics=<path>] [--blame]
+//                    [--trace=<path>]
+//
+// --cycles sets the GCMC moves (default 8). --metrics and --blame work as
+// in the figure binaries (bench_support.hpp); --trace=<path> records every
+// profiled run into one chrome://tracing file (one run scope per variant).
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -19,11 +20,6 @@
 #include "trace/chrome_export.hpp"
 
 namespace {
-
-scc::trace::Recorder* g_trace = nullptr;
-// With --trace= the recorder accumulates every variant into one file; with
-// --blame alone each variant gets the full capacity to itself.
-bool g_keep_trace = false;
 
 using scc::machine::CoreProfile;
 using scc::machine::Phase;
@@ -60,93 +56,47 @@ Breakdown analyze(const std::vector<CoreProfile>& profiles) {
   return b;
 }
 
-scc::harness::RunResult allreduce_run(PaperVariant v) {
-  scc::harness::RunSpec spec;
-  spec.collective = scc::harness::Collective::kAllreduce;
-  spec.variant = v;
-  spec.elements = 552;
-  spec.repetitions = 3;
-  spec.warmup = 1;
-  spec.verify = false;
-  spec.collect_profiles = true;
-  spec.collect_metrics = !scc::bench::options().metrics_path.empty();
-  spec.trace = g_trace;
-  return scc::harness::run_collective(spec);
-}
-
-void bench_profile(benchmark::State& state, PaperVariant v,
-                   Breakdown* out) {
-  for (auto _ : state) {
-    if (g_trace != nullptr && !g_keep_trace) g_trace->clear();
-    const auto result = allreduce_run(v);
-    *out = analyze(result.profiles);
-    state.SetIterationTime(result.profiles[0].total().seconds());
-    const std::string variant{scc::harness::variant_name(v)};
-    if (result.metrics) {
-      scc::bench::merged_metrics().absorb(*result.metrics,
-                                          "profile/" + variant + "/");
-    }
-    if (scc::bench::options().blame && g_trace != nullptr &&
-        !result.sample_windows.empty()) {
-      const auto [begin, end] = result.sample_windows.back();
-      const scc::metrics::BlameReport report = scc::metrics::analyze_blame(
-          *g_trace, g_trace->current_run(), /*terminal_core=*/0, begin, end);
-      std::ostringstream ss;
-      ss << "--- " << variant << " n=552";
-      if (g_trace->dropped() > 0) {
-        ss << " (trace dropped " << g_trace->dropped()
-           << " events; attribution partial)";
-      }
-      ss << " ---\n";
-      report.print(ss);
-      scc::bench::blame_reports()[variant] = ss.str();
-    }
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  scc::bench::parse_instrumentation_flags(argc, argv);
-  // Pull our own --trace= flag out of argv before google-benchmark sees it.
+  scc::bench::Instruments inst;
   std::string trace_path;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(8);
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  static scc::trace::Recorder recorder(/*capacity=*/std::size_t{1} << 20);
-  if (!trace_path.empty() || scc::bench::options().blame) {
-    g_trace = &recorder;  // --blame replays the recorded intervals
-    g_keep_trace = !trace_path.empty();
-  }
+  int cycles = 0;
+  scc::bench::read_flags(argc, argv, [&](const scc::CliFlags& flags) {
+    inst.read(flags);
+    trace_path = flags.get("trace", "");
+    cycles = flags.get_positive_int("cycles", 8);
+  });
+  // With --trace= the recorder accumulates every variant into one file;
+  // with --blame alone each variant gets the full capacity to itself.
+  scc::trace::Recorder recorder(/*capacity=*/std::size_t{1} << 20);
+  const bool traced = !trace_path.empty() || inst.blame;
 
   const PaperVariant variants[] = {PaperVariant::kBlocking,
                                    PaperVariant::kIrcce,
                                    PaperVariant::kLightweight,
                                    PaperVariant::kLwBalanced,
                                    PaperVariant::kMpb};
-  static Breakdown breakdowns[5];
+  Breakdown breakdowns[5];
   for (int i = 0; i < 5; ++i) {
-    const PaperVariant v = variants[i];
-    Breakdown* out = &breakdowns[i];
-    const std::string name = std::string("profile/") +
-                             std::string(scc::harness::variant_name(v));
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [v, out](benchmark::State& state) { bench_profile(state, v, out); })
-        ->UseManualTime()
-        ->Unit(benchmark::kMicrosecond)
-        ->Iterations(1);
+    if (traced && trace_path.empty()) recorder.clear();
+    scc::harness::RunSpec spec;
+    spec.collective = scc::harness::Collective::kAllreduce;
+    spec.variant = variants[i];
+    spec.elements = 552;
+    spec.repetitions = 3;
+    spec.warmup = 1;
+    spec.verify = false;
+    spec.collect_profiles = true;
+    spec.collect_metrics = !inst.metrics_path.empty();
+    spec.trace = traced ? &recorder : nullptr;
+    const auto result = scc::harness::run_collective(spec);
+    breakdowns[i] = analyze(result.profiles);
+    const std::string variant{scc::harness::variant_name(variants[i])};
+    if (result.metrics)
+      inst.metrics.absorb(*result.metrics, "profile/" + variant + "/");
+    if (inst.blame) inst.add_blame(recorder, result, variant, 552);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
 
   std::cout << "\n=== Per-core time breakdown, Allreduce(552) on 48 cores ===\n";
   scc::Table table({"variant", "wait max", "wait mean", "sw-overhead",
@@ -168,7 +118,7 @@ int main(int argc, char** argv) {
   params.model.kmaxvecs = 276;
   params.particles_total = 240;
   params.max_local_particles = 12;
-  params.cycles = static_cast<int>(scc::bench::env_size("SCC_BENCH_CYCLES", 8));
+  params.cycles = cycles;
   const auto app =
       scc::gcmc::run_app(params, PaperVariant::kBlocking);
   const Breakdown b = analyze(app.profiles);
@@ -176,7 +126,7 @@ int main(int argc, char** argv) {
       "\nGCMC application, blocking stack: wait max %.0f%% / mean %.0f%% of "
       "core time (paper: up to 50%%)\n",
       b.wait_max_pct, b.wait_mean_pct);
-  scc::bench::write_outputs("tab_wait_profile", table);
+  scc::bench::write_outputs("tab_wait_profile", table, inst);
   if (!trace_path.empty()) {
     scc::trace::write_chrome_json_file(recorder, trace_path);
     std::cout << "trace written to " << trace_path << " ("

@@ -10,7 +10,7 @@ CliFlags CliFlags::parse(int argc, const char* const* argv) {
   CliFlags flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--") break;
+    if (arg == "--") throw std::runtime_error("malformed flag '--'");
     if (arg.rfind("--", 0) != 0) {
       flags.positionals_.push_back(arg);
       continue;

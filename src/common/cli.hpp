@@ -18,10 +18,9 @@ namespace scc {
 
 class CliFlags {
  public:
-  /// Parses argv. Throws std::runtime_error on malformed input.
-  /// Arguments not starting with "--" are collected as positionals.
-  /// Anything after a literal "--" separator is ignored (left for wrapped
-  /// frameworks such as google-benchmark).
+  /// Parses argv. Throws std::runtime_error on malformed input, including
+  /// a bare "--" (there is no end-of-flags separator). Arguments not
+  /// starting with "--" are collected as positionals.
   static CliFlags parse(int argc, const char* const* argv);
 
   [[nodiscard]] bool has(const std::string& name) const;

@@ -17,8 +17,8 @@ namespace scc::exec {
 
 namespace {
 
-/// Strict SCC_JOBS parse (mirrors bench_support's env_size discipline): a
-/// mistyped SCC_JOBS=1O must abort, not quietly run serial.
+/// Strict SCC_JOBS parse: a mistyped SCC_JOBS=1O must abort, not quietly
+/// run serial.
 int jobs_from_env() {
   const char* value = std::getenv("SCC_JOBS");
   if (value == nullptr) return 0;

@@ -3,6 +3,7 @@
 // statistics from it.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -41,6 +42,10 @@ struct SweepSpec {
   /// jobs parallelizes across cells, workers within one, and every
   /// (jobs, workers) combination produces byte-identical output.
   int pdes_workers = 0;
+  /// Algorithm override (RunSpec::algo) for the RCCE-family cells. RCKMPI
+  /// and MPB-direct cells keep their own schedule, so a figure compares the
+  /// override against them. Unset = the paper's algorithm.
+  std::optional<coll::Algo> algo;
 };
 
 struct SweepPoint {
@@ -70,6 +75,10 @@ struct SweepResult {
   /// size column + one latency column per variant (microseconds).
   [[nodiscard]] Table to_table() const;
 };
+
+/// The RunSpec of one (variant, size) cell of `spec`'s grid.
+[[nodiscard]] RunSpec sweep_cell(const SweepSpec& spec, PaperVariant variant,
+                                 std::size_t elements);
 
 [[nodiscard]] SweepResult run_sweep(const SweepSpec& spec);
 

@@ -102,10 +102,9 @@ TEST(Cli, Positionals) {
   EXPECT_EQ(flags.positionals()[1], "pos2");
 }
 
-TEST(Cli, DoubleDashStopsParsing) {
-  const auto flags = parse({"--n=1", "--", "--ignored=2"});
-  EXPECT_EQ(flags.get_int("n", 0), 1);
-  EXPECT_FALSE(flags.has("ignored"));
+TEST(Cli, BareDoubleDashIsMalformed) {
+  EXPECT_THROW(parse({"--n=1", "--", "--ignored=2"}), std::runtime_error);
+  EXPECT_THROW(parse({"--"}), std::runtime_error);
 }
 
 TEST(Cli, GetPositiveIntFallsBackWhenAbsent) {

@@ -121,6 +121,35 @@ TEST(Sweep, TableHasVariantColumns) {
   EXPECT_EQ(table.rows(), 1u);
 }
 
+TEST(Sweep, AlgoOverridesOnlyRcceFamilyCells) {
+  SweepSpec spec;
+  spec.collective = Collective::kAllreduce;
+  spec.from = 64;
+  spec.to = 64;
+  spec.repetitions = 1;
+  spec.warmup = 0;
+  spec.verify = false;
+  spec.config = mesh8();
+  spec.variants = {PaperVariant::kRckmpi, PaperVariant::kLightweight,
+                   PaperVariant::kMpb};
+  spec.algo = coll::Algo::kRecursiveDoubling;
+  const SweepResult r = run_sweep(spec);  // RCKMPI/MPB would throw on algo
+  ASSERT_EQ(r.points.size(), 1u);
+
+  RunSpec cell;
+  cell.collective = Collective::kAllreduce;
+  cell.variant = PaperVariant::kLightweight;
+  cell.elements = 64;
+  cell.repetitions = 1;
+  cell.warmup = 0;
+  cell.verify = false;
+  cell.config = mesh8();
+  const double paper_us = run_collective(cell).mean_latency.us();
+  cell.algo = coll::Algo::kRecursiveDoubling;
+  EXPECT_EQ(r.points[0].latency_us[1], run_collective(cell).mean_latency.us());
+  EXPECT_NE(r.points[0].latency_us[1], paper_us);
+}
+
 TEST(Runner, CustomSeedChangesDataNotShape) {
   RunSpec a;
   a.collective = Collective::kAllreduce;
