@@ -19,7 +19,9 @@
 //                       the partitioned machine with 1 PDES worker (the
 //                       pure partitioning overhead, gated <= 1.5x serial
 //                       by selfperf_smoke.cmake), and with --jobs workers
-//                       (the collective-workload intra-run speedup).
+//                       (the collective-workload intra-run speedup). The
+//                       serial and workers1 rows are each the median of 5
+//                       alternating runs.
 //
 //   selfperf [--events=N] [--from=A] [--to=B] [--step=S] [--reps=K]
 //            [--jobs=N] [--pdes-steps=N]
@@ -31,6 +33,7 @@
 // bench/compare's one-sided gate treats increases as regressions, so a
 // higher-is-better column (events/s, speedup) would fail on improvement,
 // and sweep_jobs' wall time depends on host core count.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
@@ -55,6 +58,14 @@ using Clock = std::chrono::steady_clock;
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0)
       .count();
+}
+
+/// Median of an odd-sized sample.
+double median_of(std::vector<double> samples) {
+  const auto mid =
+      samples.begin() + static_cast<std::ptrdiff_t>(samples.size() / 2);
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
 }
 
 /// One chain of self-rescheduling events; K chains interleave so the heap
@@ -247,25 +258,31 @@ int main(int argc, char** argv) {
     coll.repetitions = reps;
     coll.warmup = 0;
     coll.verify = false;
-    double coll_serial_ms = 0.0;
+    // The two gated rows are ~25 ms each, so one sample is at the mercy of
+    // a single scheduler hiccup. Each reports the median of kCollSamples
+    // runs, taken alternately so host-speed drift hits both rows alike.
+    constexpr int kCollSamples = 5;
+    std::vector<double> serial_samples;
+    std::vector<double> workers1_samples;
+    std::uint64_t serial_events = 0;
+    std::uint64_t workers1_events = 0;
+    for (int sample = 0; sample < kCollSamples; ++sample) {
+      for (const int workers : {0, 1}) {
+        coll.pdes_workers = workers;
+        const auto t0 = Clock::now();
+        const scc::harness::RunResult result =
+            scc::harness::run_collective(coll);
+        (workers == 0 ? serial_samples : workers1_samples)
+            .push_back(ms_since(t0));
+        (workers == 0 ? serial_events : workers1_events) = result.events;
+      }
+    }
+    const double coll_serial_ms = median_of(serial_samples);
+    rows.push_back(Row{"coll_allreduce_serial", serial_events, coll_serial_ms,
+                       /*gated=*/true});
+    rows.push_back(Row{"coll_allreduce_workers1", workers1_events,
+                       median_of(workers1_samples), /*gated=*/true});
     double coll_workers_ms = 0.0;
-    {
-      coll.pdes_workers = 0;
-      const auto t0 = Clock::now();
-      const scc::harness::RunResult result =
-          scc::harness::run_collective(coll);
-      coll_serial_ms = ms_since(t0);
-      rows.push_back(Row{"coll_allreduce_serial", result.events,
-                         coll_serial_ms, /*gated=*/true});
-    }
-    {
-      coll.pdes_workers = 1;
-      const auto t0 = Clock::now();
-      const scc::harness::RunResult result =
-          scc::harness::run_collective(coll);
-      rows.push_back(Row{"coll_allreduce_workers1", result.events,
-                         ms_since(t0), /*gated=*/true});
-    }
     {
       coll.pdes_workers = resolved_jobs;
       const auto t0 = Clock::now();

@@ -111,8 +111,7 @@ Stack& ProgressEngine::lane_stack(int lane) {
 // Requests go round-robin over lanes by initiation index; the i*() helpers
 // must build the schedule against the SAME lane enqueue() will file it in.
 ProgressEngine::Lane& ProgressEngine::next_lane() {
-  return *lanes_[static_cast<std::size_t>(
-      next_id_ % static_cast<RequestId>(lanes_.size()))];
+  return *lanes_[static_cast<std::size_t>(lane_of(next_id_))];
 }
 
 CollRequest ProgressEngine::enqueue(Sched sched) {
@@ -172,14 +171,14 @@ sim::Task<> ProgressEngine::progress() {
   }
 }
 
+// Lane-FIFO invariant: a lane's queue holds its ids in increasing order
+// (enqueue appends the next id) and step_lane only ever pops the front. So
+// `id` has retired exactly when its lane's queue is empty or already starts
+// past it.
 bool ProgressEngine::done(RequestId id) const {
   SCC_EXPECTS(id < next_id_);
-  for (const auto& lane : lanes_) {
-    for (const Pending& p : lane->queue) {
-      if (p.id == id) return false;
-    }
-  }
-  return true;
+  const auto& queue = lanes_[static_cast<std::size_t>(lane_of(id))]->queue;
+  return queue.empty() || queue.front().id > id;
 }
 
 bool ProgressEngine::idle() const {

@@ -158,6 +158,11 @@ class ProgressEngine {
   ProgressEngine& operator=(const ProgressEngine&) = delete;
 
   [[nodiscard]] int lanes() const { return static_cast<int>(lanes_.size()); }
+  /// The lane request `id` runs in: lanes are assigned round-robin by
+  /// initiation index.
+  [[nodiscard]] int lane_of(RequestId id) const {
+    return static_cast<int>(id % static_cast<RequestId>(lanes_.size()));
+  }
   [[nodiscard]] Prims prims() const { return prims_; }
   /// The lane's Stack (tests peek layouts; traffic reuses scratch).
   [[nodiscard]] Stack& lane_stack(int lane);
@@ -181,7 +186,8 @@ class ProgressEngine {
   /// One pass: advance the head schedule of every non-empty lane by one
   /// step (one communication round, or to completion).
   [[nodiscard]] sim::Task<> progress();
-  /// True when `id` has completed (no progress performed).
+  /// True when `id` has completed (no progress performed). O(1): see the
+  /// lane-FIFO invariant in nbc.cpp.
   [[nodiscard]] bool done(RequestId id) const;
   /// True when no schedule is in flight.
   [[nodiscard]] bool idle() const;

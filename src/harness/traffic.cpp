@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -155,21 +156,30 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
                               const std::vector<TrafficRequest>& schedule,
                               TrafficCoreData& data, TrafficProbe& probe) {
   coll::nbc::ProgressEngine engine(api, prims_of(spec.variant), spec.lanes);
-  std::vector<std::pair<std::size_t, coll::nbc::CollRequest>> in_flight;
+  // In-flight requests, one FIFO per engine lane. A lane retires its
+  // requests in initiation order, so completions only ever show up at the
+  // fronts: a reap costs O(lanes + retired), not O(in flight).
+  using InFlight = std::pair<std::size_t, coll::nbc::CollRequest>;
+  std::vector<std::deque<InFlight>> in_flight(
+      static_cast<std::size_t>(engine.lanes()));
+  std::vector<std::size_t> retired;
   co_await api.sync_barrier();
   const SimTime t0 = api.now();
   const auto reap = [&] {
-    for (auto it = in_flight.begin(); it != in_flight.end();) {
-      if (it->second.done()) {
-        if (api.rank() == 0) {
-          const std::size_t i = it->first;
-          probe.latency[i] = api.now() - (t0 + schedule[i].arrival);
-          probe.completion_order.push_back(i);
-        }
-        it = in_flight.erase(it);
-      } else {
-        ++it;
+    retired.clear();
+    for (auto& lane : in_flight) {
+      while (!lane.empty() && lane.front().second.done()) {
+        retired.push_back(lane.front().first);
+        lane.pop_front();
       }
+    }
+    if (api.rank() != 0) return;
+    // Ascending request index: the completion-observation order the
+    // histogram is filled in.
+    std::sort(retired.begin(), retired.end());
+    for (const std::size_t i : retired) {
+      probe.latency[i] = api.now() - (t0 + schedule[i].arrival);
+      probe.completion_order.push_back(i);
     }
   };
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -181,9 +191,10 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
     if (api.now() < target) {
       co_await api.charge(machine::Phase::kCompute, target - api.now());
     }
-    in_flight.emplace_back(
-        i, initiate_request(engine, spec, schedule[i], data.in[i],
-                            data.out[i]));
+    const coll::nbc::CollRequest req = initiate_request(
+        engine, spec, schedule[i], data.in[i], data.out[i]);
+    in_flight[static_cast<std::size_t>(engine.lane_of(req.id()))]
+        .emplace_back(i, req);
   }
   while (!engine.idle()) {
     co_await engine.progress();

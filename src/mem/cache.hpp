@@ -17,11 +17,22 @@
 //
 // The model is a timing filter only: it classifies each touched line as
 // hit or miss. Data lives in ordinary host memory.
+//
+// Layout (allocation-free once warm). Resident lines live in `nodes_`, a
+// vector of Node that grows on demand up to capacity_lines() and never
+// shrinks; the LRU order is a doubly linked list threaded through the
+// nodes by 32-bit index (head = most recently used, tail = victim). A
+// miss at capacity reuses the victim's node for the new line, so the
+// steady state allocates nothing. `table_` maps line -> node by open
+// addressing: a power-of-two array of 32-bit node indices (the key is the
+// node's line), Fibonacci-hashed, linear probing, kept at most half full
+// and doubled as occupancy grows (nothing is reserved up front). Eviction
+// deletes by backward shift, so there are no tombstones and probe runs
+// stay short.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/contracts.hpp"
 #include "mem/cost_model.hpp"
@@ -70,23 +81,40 @@ class CacheModel {
   /// the flush: they count accesses, not contents.
   void flush_all();
 
-  [[nodiscard]] std::uint64_t resident_lines() const { return map_.size(); }
+  [[nodiscard]] std::uint64_t resident_lines() const { return nodes_.size(); }
   [[nodiscard]] std::uint64_t capacity_lines() const { return capacity_; }
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
 
  private:
-  struct Entry {
-    std::list<std::uintptr_t>::iterator lru_pos;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+
+  struct Node {
+    std::uintptr_t line = 0;
+    std::uint32_t prev = kNil;  // toward the MRU head
+    std::uint32_t next = kNil;  // toward the LRU tail
     bool dirty = false;
   };
-
-  /// Inserts `line` as most-recently-used; evicts LRU on overflow.
+  /// Node index of `line`, or kNil when it is not resident.
+  [[nodiscard]] std::uint32_t find(std::uintptr_t line) const;
+  /// Makes node `n` the most recently used.
+  void make_mru(std::uint32_t n);
+  /// Inserts `line` as most-recently-used; evicts LRU at capacity.
   /// Returns true when the eviction wrote back a dirty line.
   bool insert(std::uintptr_t line);
 
+  [[nodiscard]] std::size_t home_slot(std::uintptr_t line) const;
+  void unlink(std::uint32_t n);
+  void push_front(std::uint32_t n);
+  void table_insert(std::uint32_t n);
+  void table_erase(std::uint32_t n);
+  void grow_table();
+
   std::uint64_t capacity_;
-  std::list<std::uintptr_t> lru_;  // front = most recently used
-  std::unordered_map<std::uintptr_t, Entry> map_;
+  std::vector<Node> nodes_;
+  std::uint32_t head_ = kNil;
+  std::uint32_t tail_ = kNil;
+  std::vector<std::uint32_t> table_;  // node index or kNil; size 0 or 2^k
+  int table_shift_ = 64;  // 64 - log2(table_.size())
   CacheStats stats_;
 };
 

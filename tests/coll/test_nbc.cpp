@@ -1,11 +1,13 @@
 // Direct tests of the non-blocking collective API (coll/nbc.hpp): result
 // equivalence with the blocking schedules, lanes=1 timing bit-identity,
-// overlapping-collectives interleave grid, ibarrier, and the overlap win
-// (lower makespan than serialized blocking calls on a non-blocking stack).
+// overlapping-collectives interleave grid, ibarrier, the overlap win
+// (lower makespan than serialized blocking calls on a non-blocking stack),
+// and the O(1) completion check against each lane's retired prefix.
 #include "coll/nbc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "coll/collectives.hpp"
@@ -315,6 +317,113 @@ TEST(NbcOverlap, TwoCollectivesBeatSerializedBlocking) {
     EXPECT_LT(nbc_machine.now(), serial_machine.now())
         << prims_name(prims);
   }
+}
+
+// --- completion check (done) --------------------------------------------
+
+constexpr int kBacklog = 64;
+
+// Initiates a deep backlog of small allreduces, then after every progress
+// pass checks done() for every id against the lane-FIFO contract: per
+// lane, the done ids are a prefix of that lane's ids (in initiation
+// order); a pass retires at most one new id per lane; done() never flips
+// back; a done allreduce already holds its full result on this core; and
+// the engine is idle exactly when every id is done.
+sim::Task<> completion_program(
+    machine::CoreApi& api, int lanes, std::vector<CoreBufs>* bufs,
+    const std::vector<std::vector<double>>* want, int* passes) {
+  ProgressEngine engine(api, Prims::kLightweight, lanes);
+  auto& mine = *bufs;
+  std::vector<CollRequest> reqs;
+  for (int i = 0; i < kBacklog; ++i) {
+    auto& b = mine[static_cast<std::size_t>(i)];
+    reqs.push_back(engine.iallreduce(b.in, b.out, ReduceOp::kSum,
+                                     SplitPolicy::kStandard));
+    EXPECT_EQ(reqs.back().id(), static_cast<nbc::RequestId>(i));
+    EXPECT_EQ(engine.lane_of(reqs.back().id()), i % lanes);
+  }
+  const auto u_lanes = static_cast<std::size_t>(lanes);
+  // retired[lane]: length of the lane's done prefix after the last pass.
+  std::vector<int> retired(u_lanes, 0);
+  std::vector<bool> was_done(kBacklog, false);
+  while (!engine.idle()) {
+    co_await engine.progress();
+    ++*passes;
+    std::vector<int> prefix(u_lanes, 0);
+    std::vector<bool> gap(u_lanes, false);
+    for (int i = 0; i < kBacklog; ++i) {
+      const auto lane = static_cast<std::size_t>(i % lanes);
+      const bool done = reqs[static_cast<std::size_t>(i)].done();
+      EXPECT_TRUE(done || !was_done[static_cast<std::size_t>(i)])
+          << "done() flipped back for id " << i;
+      was_done[static_cast<std::size_t>(i)] = done;
+      if (!done) {
+        gap[lane] = true;
+        continue;
+      }
+      EXPECT_FALSE(gap[lane]) << "id " << i << " done behind a pending id";
+      ++prefix[lane];
+      EXPECT_EQ(mine[static_cast<std::size_t>(i)].out,
+                (*want)[static_cast<std::size_t>(i)])
+          << "id " << i << " rank " << api.rank();
+    }
+    for (std::size_t lane = 0; lane < u_lanes; ++lane) {
+      EXPECT_GE(prefix[lane], retired[lane]);
+      EXPECT_LE(prefix[lane], retired[lane] + 1)
+          << "lane " << lane << " retired two ids in one pass";
+      retired[lane] = prefix[lane];
+    }
+    const bool all_done =
+        std::all_of(was_done.begin(), was_done.end(), [](bool d) { return d; });
+    EXPECT_EQ(all_done, engine.idle());
+  }
+}
+
+class NbcCompletion : public ::testing::TestWithParam<int> {};
+
+TEST_P(NbcCompletion, DoneIsEachLanesRetiredPrefix) {
+  const int lanes = GetParam();
+  machine::SccMachine machine(mesh(2, 1, lanes));  // 4 cores
+  const int p = machine.num_cores();
+  const std::size_t n = 8;
+  std::vector<std::vector<CoreBufs>> bufs(static_cast<std::size_t>(p));
+  std::vector<std::vector<double>> want(kBacklog, std::vector<double>(n));
+  std::vector<int> passes(static_cast<std::size_t>(p), 0);
+  for (int r = 0; r < p; ++r) {
+    auto& mine = bufs[static_cast<std::size_t>(r)];
+    mine.resize(kBacklog);
+    for (int i = 0; i < kBacklog; ++i) {
+      auto& b = mine[static_cast<std::size_t>(i)];
+      b.in = input_for(r, n, i);
+      b.out.assign(n, -1.0);
+      for (std::size_t e = 0; e < n; ++e) {
+        want[static_cast<std::size_t>(i)][e] += b.in[e];
+      }
+    }
+  }
+  for (int r = 0; r < p; ++r) {
+    machine.launch(r, completion_program(machine.core(r), lanes,
+                                         &bufs[static_cast<std::size_t>(r)],
+                                         &want,
+                                         &passes[static_cast<std::size_t>(r)]));
+  }
+  machine.run();
+  // A pass steps each lane head by one round, so the backlog needs more
+  // passes than it has requests per lane.
+  EXPECT_GT(passes[0], kBacklog / lanes);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, NbcCompletion, ::testing::Values(1, 2, 3),
+                         [](const ::testing::TestParamInfo<int>& param_info) {
+                           return "lanes" + std::to_string(param_info.param);
+                         });
+
+TEST(NbcCompletionDeathTest, DoneRejectsIdsNotYetIssued) {
+  machine::SccMachine machine(mesh(2, 1, 2));
+  ProgressEngine engine(machine.core(0), Prims::kLightweight, 2);
+  EXPECT_DEATH((void)engine.done(0), "precondition");
+  (void)engine.ibarrier();
+  EXPECT_DEATH((void)engine.done(1), "precondition");
 }
 
 }  // namespace

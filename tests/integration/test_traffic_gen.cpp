@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <vector>
 
 #include "harness/traffic.hpp"
 
@@ -144,6 +147,83 @@ TEST(TrafficGen, WorkerCountInvariant) {
     }
   }
 }
+
+// Deep-backlog identity. The committed traffic_gen baseline covers 48
+// requests; this pins the overloaded shape (4 streams x 80 requests at a
+// 120 us mean gap: ~3x past capacity, so hundreds of requests queue) for
+// 1, 2 and 4 lanes. The digest folds every request's latency in
+// completion-observation order (observation instant, then request index),
+// together with the makespan, event count and MPB line volume. The
+// expected values were recorded with the earlier full-scan completion
+// check, so any change in which request retires at which progress pass
+// shows up here.
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (v >> (8 * byte)) & 0xffu;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::uint64_t deep_backlog_digest(const TrafficSpec& spec,
+                                  const TrafficResult& r) {
+  const auto schedule = traffic_schedule(spec, spec.tiles_x * spec.tiles_y * 2);
+  const auto observed = [&](std::size_t i) {
+    return schedule[i].arrival + r.latencies[i];
+  };
+  std::vector<std::size_t> order(r.latencies.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return observed(a) < observed(b);
+                   });
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::size_t i : order) {
+    h = fnv1a(h, i);
+    h = fnv1a(h, r.latencies[i].femtoseconds());
+  }
+  h = fnv1a(h, r.makespan.femtoseconds());
+  h = fnv1a(h, r.events);
+  return fnv1a(h, r.lines_sent);
+}
+
+class TrafficDeepBacklog : public ::testing::TestWithParam<int> {};
+
+TEST_P(TrafficDeepBacklog, MatchesPinnedDigest) {
+  TrafficSpec spec;
+  spec.streams = 4;
+  spec.requests_per_stream = 80;
+  spec.elements = 96;
+  spec.mean_interarrival = SimTime::from_us(120.0);
+  spec.variant = PaperVariant::kLightweight;
+  spec.lanes = GetParam();
+  const TrafficResult r = run_traffic(spec);
+  ASSERT_EQ(r.requests, 320u);
+  ASSERT_EQ(r.latency.count(), 320u);
+  struct Pinned {
+    std::uint64_t digest;
+    std::uint64_t makespan_fs;
+    std::uint64_t events;
+  };
+  const Pinned want = [&]() -> Pinned {
+    switch (spec.lanes) {
+      case 1: return {0xb98675fe3ff3d02eULL, 25845402888559ULL, 301161};
+      case 2: return {0xe87281daa9634594ULL, 24838307105814ULL, 323834};
+      default: return {0xfa73058e531eeb30ULL, 24233087518961ULL, 315218};
+    }
+  }();
+  EXPECT_EQ(r.makespan.femtoseconds(), want.makespan_fs);
+  EXPECT_EQ(r.events, want.events);
+  EXPECT_EQ(r.lines_sent, 242256u);
+  EXPECT_EQ(deep_backlog_digest(spec, r), want.digest)
+      << std::hex << "digest 0x" << deep_backlog_digest(spec, r);
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, TrafficDeepBacklog,
+                         ::testing::Values(1, 2, 4),
+                         [](const auto& param_info) {
+                           return "lanes" + std::to_string(param_info.param);
+                         });
 
 TEST(TrafficGen, RejectsOversizedMessagesForLaneChunk) {
   TrafficSpec spec = small_spec();
