@@ -1,7 +1,9 @@
 # bench-smoke CLI gate, run as a ctest (label "bench-smoke"): runs each
 # figure, table and ablation binary once at its smallest settings and
 # requires exit 0, then runs one misspelled flag and requires exit 2 (every
-# binary rejects the flags it does not read). Each binary gets only the
+# binary rejects the flags it does not read), and unknown --collective /
+# --variant names, which must exit with each binary's error code (2, or 1
+# for tab_algo_select). Each binary gets only the
 # flags it reads. Outputs land in WORK_DIR/bench_results and are not gated
 # here; bench_smoke.cmake gates fig9f's numbers.
 #
@@ -41,3 +43,8 @@ run_bench(0 fig10_gcmc_app --cycles=1)
 run_bench(0 tab_wait_profile --cycles=1)
 run_bench(0 tab_block_split)
 run_bench(2 fig9f_allreduce --form=552)
+# Unknown names: the shared parsers reject them through each CLI's own
+# error exit.
+run_bench(2 perturb_soak --collective=nope)
+run_bench(2 obs_report --out=nope.html --collective=nope)
+run_bench(1 tab_algo_select --variant=rckmpi)

@@ -24,10 +24,7 @@ int main(int argc, char** argv) {
     params.cycles = flags.get_positive_int("cycles", 12);
   });
 
-  const PaperVariant variants[] = {
-      PaperVariant::kRckmpi,      PaperVariant::kBlocking,
-      PaperVariant::kIrcce,       PaperVariant::kLightweight,
-      PaperVariant::kLwBalanced,  PaperVariant::kMpb};
+  const auto& variants = scc::harness::kAllVariants;
   std::map<PaperVariant, scc::gcmc::AppResult> results;
   for (const PaperVariant v : variants)
     results[v] = scc::gcmc::run_app(params, v);

@@ -32,7 +32,7 @@
 #include "common/string_util.hpp"
 #include "common/table.hpp"
 #include "exec/executor.hpp"
-#include "harness/runner.hpp"
+#include "harness/op.hpp"
 
 namespace {
 
@@ -57,16 +57,6 @@ std::vector<std::size_t> parse_sizes(const std::string& flag) {
   return sizes;
 }
 
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error(
-      "unknown --variant (Stack-based variants only): " + name);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -75,8 +65,15 @@ int main(int argc, char** argv) {
     const CliFlags flags = CliFlags::parse(argc, argv);
     const auto mesh = split(flags.get("mesh", "6x4"), 'x');
     if (mesh.size() != 2) throw std::runtime_error("--mesh expects WxH");
-    const PaperVariant variant =
-        parse_variant(flags.get("variant", "lightweight"));
+    const std::string variant_flag = flags.get("variant", "lightweight");
+    const std::optional<PaperVariant> parsed =
+        harness::parse_variant(variant_flag);
+    if (!parsed || *parsed == PaperVariant::kRckmpi ||
+        *parsed == PaperVariant::kMpb) {
+      throw std::runtime_error(
+          "unknown --variant (Stack-based variants only): " + variant_flag);
+    }
+    const PaperVariant variant = *parsed;
     const std::vector<std::size_t> sizes =
         parse_sizes(flags.get("sizes", "8,48,192,552"));
     const int reps = static_cast<int>(flags.get_int("reps", 2));
@@ -94,10 +91,7 @@ int main(int argc, char** argv) {
     base.config.tiles_x = std::stoi(mesh[0]);
     base.config.tiles_y = std::stoi(mesh[1]);
     const int p = base.config.num_cores();
-    const coll::Prims prims =
-        variant == PaperVariant::kBlocking  ? coll::Prims::kBlocking
-        : variant == PaperVariant::kIrcce   ? coll::Prims::kIrcce
-                                            : coll::Prims::kLightweight;
+    const coll::Prims prims = harness::prims_of(variant);
 
     // Flattened (collective, n, algo) grid; every point simulates on its
     // own machine, fanned out over --jobs and merged in grid order (the

@@ -27,7 +27,7 @@
 #include "common/cli.hpp"
 #include "common/string_util.hpp"
 #include "common/table.hpp"
-#include "harness/runner.hpp"
+#include "harness/op.hpp"
 #include "machine/scc_machine.hpp"
 
 namespace {
@@ -149,16 +149,8 @@ struct SolveOutcome {
 
 SolveOutcome solve(const SolveConfig& config, PaperVariant variant) {
   SolveConfig cfg = config;
-  switch (variant) {
-    case PaperVariant::kBlocking: cfg.prims = scc::coll::Prims::kBlocking;
-      cfg.split = scc::coll::SplitPolicy::kStandard; break;
-    case PaperVariant::kIrcce: cfg.prims = scc::coll::Prims::kIrcce;
-      cfg.split = scc::coll::SplitPolicy::kStandard; break;
-    case PaperVariant::kLightweight: cfg.prims = scc::coll::Prims::kLightweight;
-      cfg.split = scc::coll::SplitPolicy::kStandard; break;
-    default: cfg.prims = scc::coll::Prims::kLightweight;
-      cfg.split = scc::coll::SplitPolicy::kBalanced; break;
-  }
+  cfg.prims = scc::harness::prims_of(variant);
+  cfg.split = scc::harness::split_of(variant);
   scc::machine::SccMachine machine;
   const int p = machine.num_cores();
   const scc::rcce::Layout layout(p);
@@ -191,15 +183,6 @@ SolveOutcome solve(const SolveConfig& config, PaperVariant variant) {
           results[0].finish.seconds(), max_error};
 }
 
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error("unknown variant: " + name);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -211,8 +194,19 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(flags.get_int("rows-per-core", 16));
     config.tolerance = flags.get_double("tol", 1e-10);
     config.max_iterations = static_cast<int>(flags.get_int("max-iters", 2000));
+    // The solver drives coll::Stack directly: Stack-based variants only.
+    const std::string variant_flag = flags.get("variant", "lw-balanced");
+    const auto variant = harness::parse_variant(variant_flag);
+    if (!variant || *variant == PaperVariant::kRckmpi ||
+        *variant == PaperVariant::kMpb) {
+      throw std::runtime_error("unknown variant: " + variant_flag);
+    }
+    const bool compare = flags.get_bool("compare", false);
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
-    if (flags.get_bool("compare", false)) {
+    if (compare) {
       Table table({"variant", "iterations", "runtime", "speedup", "max error"});
       double blocking = 0.0;
       for (const PaperVariant v :
@@ -230,12 +224,10 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const PaperVariant variant =
-        parse_variant(flags.get("variant", "lw-balanced"));
-    const SolveOutcome outcome = solve(config, variant);
+    const SolveOutcome outcome = solve(config, *variant);
     std::printf("CG on %zu unknowns over 48 cores (%s stack)\n",
                 config.rows_per_core * 48,
-                std::string(harness::variant_name(variant)).c_str());
+                std::string(harness::variant_name(*variant)).c_str());
     std::printf("  iterations : %d\n", outcome.iterations);
     std::printf("  residual   : %.3e\n", outcome.residual);
     std::printf("  max error  : %.3e (vs closed-form solution)\n",

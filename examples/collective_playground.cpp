@@ -4,7 +4,8 @@
 //
 // Usage:
 //   collective_playground [--collective=allreduce|allgather|alltoall|
-//                           reducescatter|broadcast|reduce]
+//                           reducescatter|broadcast|reduce|scatter|gather|
+//                           allgatherv]
 //                         [--variant=blocking|ircce|lightweight|lw-balanced|
 //                           mpb|rckmpi|all]
 //                         [--algo=ring|bruck|recursive-doubling|
@@ -70,44 +71,30 @@
 #include "metrics/histogram.hpp"
 #include "trace/chrome_export.hpp"
 
-namespace {
-
-using scc::harness::Collective;
 using scc::harness::PaperVariant;
-
-Collective parse_collective(const std::string& name) {
-  for (const Collective c :
-       {Collective::kAllgather, Collective::kAlltoall,
-        Collective::kReduceScatter, Collective::kBroadcast, Collective::kReduce,
-        Collective::kAllreduce}) {
-    if (name == scc::harness::collective_name(c)) return c;
-  }
-  throw std::runtime_error("unknown collective: " + name);
-}
-
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kRckmpi, PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced,
-        PaperVariant::kMpb}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error("unknown variant: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace scc;
   try {
     const CliFlags flags = CliFlags::parse(argc, argv);
     harness::RunSpec spec;
-    spec.collective = parse_collective(flags.get("collective", "allreduce"));
+    const std::string collective_flag = flags.get("collective", "allreduce");
+    const auto collective = harness::parse_collective(collective_flag);
+    if (!collective) {
+      throw std::runtime_error("unknown collective: " + collective_flag);
+    }
+    spec.collective = *collective;
     const std::string variant_flag = flags.get("variant", "lw-balanced");
     const bool all_variants = variant_flag == "all";
     const int jobs = exec::jobs_flag(flags);
     spec.pdes_workers = exec::workers_flag(flags);
-    if (!all_variants) spec.variant = parse_variant(variant_flag);
+    if (!all_variants) {
+      const auto variant = harness::parse_variant(variant_flag);
+      if (!variant) {
+        throw std::runtime_error("unknown variant: " + variant_flag);
+      }
+      spec.variant = *variant;
+    }
     const std::string algo_flag = flags.get("algo", "");
     if (!algo_flag.empty()) {
       const std::optional<coll::Algo> algo = coll::parse_algo(algo_flag);
@@ -144,6 +131,9 @@ int main(int argc, char** argv) {
     if (sample_us < 0.0) throw std::runtime_error("--sample must be >= 0");
     if (sample_us > 0.0) spec.sample_interval = SimTime::from_us(sample_us);
     spec.collect_metrics = !metrics_path.empty();
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
     if (all_variants) {
       if (!trace_path.empty() || !metrics_path.empty() || blame ||

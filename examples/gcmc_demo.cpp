@@ -4,7 +4,8 @@
 //
 // Usage:
 //   gcmc_demo [--variant=blocking|ircce|lightweight|lw-balanced|mpb|rckmpi]
-//             [--cycles N] [--particles N] [--kmaxvecs N] [--seed S]
+//             [--cycles N] [--particles N] [--capacity N] [--kmaxvecs N]
+//             [--seed S]
 //             [--compare]   (run all six stacks and tabulate, Fig. 10 style)
 #include <cstdio>
 #include <exception>
@@ -15,21 +16,7 @@
 #include "common/table.hpp"
 #include "gcmc/app.hpp"
 
-namespace {
-
 using scc::harness::PaperVariant;
-
-PaperVariant parse_variant(const std::string& name) {
-  for (const PaperVariant v :
-       {PaperVariant::kRckmpi, PaperVariant::kBlocking, PaperVariant::kIrcce,
-        PaperVariant::kLightweight, PaperVariant::kLwBalanced,
-        PaperVariant::kMpb}) {
-    if (name == scc::harness::variant_name(v)) return v;
-  }
-  throw std::runtime_error("unknown variant: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace scc;
@@ -42,17 +29,21 @@ int main(int argc, char** argv) {
         static_cast<int>(flags.get_int("capacity", 12));
     params.cycles = static_cast<int>(flags.get_int("cycles", 10));
     params.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2012));
+    const std::string variant_flag = flags.get("variant", "lw-balanced");
+    const auto variant = harness::parse_variant(variant_flag);
+    if (!variant) throw std::runtime_error("unknown variant: " + variant_flag);
+    const bool compare = flags.get_bool("compare", false);
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
-    if (flags.get_bool("compare", false)) {
+    if (compare) {
       std::printf("GCMC, %d particles, %d moves, %d-coefficient long-range "
                   "reduction, 48 cores\n\n",
                   params.particles_total, params.cycles, params.model.kmaxvecs);
       Table table({"variant", "runtime", "speedup", "E_final", "N_final"});
       double blocking = 0.0;
-      for (const PaperVariant v :
-           {PaperVariant::kRckmpi, PaperVariant::kBlocking,
-            PaperVariant::kIrcce, PaperVariant::kLightweight,
-            PaperVariant::kLwBalanced, PaperVariant::kMpb}) {
+      for (const PaperVariant v : harness::kAllVariants) {
         const gcmc::AppResult r = gcmc::run_app(params, v);
         const double s = r.runtime.seconds();
         if (v == PaperVariant::kBlocking) blocking = s;
@@ -66,11 +57,9 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const PaperVariant variant =
-        parse_variant(flags.get("variant", "lw-balanced"));
-    const gcmc::AppResult r = gcmc::run_app(params, variant);
+    const gcmc::AppResult r = gcmc::run_app(params, *variant);
     std::printf("communication stack : %s\n",
-                std::string(harness::variant_name(variant)).c_str());
+                std::string(harness::variant_name(*variant)).c_str());
     std::printf("virtual runtime     : %s\n",
                 format_minutes(r.runtime.seconds()).c_str());
     std::printf("moves accepted      : %d / %d\n", r.accepted, r.attempted);

@@ -136,8 +136,12 @@ int main(int argc, char** argv) {
     config.cells_per_core =
         static_cast<std::size_t>(flags.get_int("cells-per-core", 64));
     config.steps = static_cast<int>(flags.get_int("steps", 200));
+    const bool compare = flags.get_bool("compare", false);
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
-    if (flags.get_bool("compare", false)) {
+    if (compare) {
       Table table({"variant", "runtime", "speedup", "total heat"});
       double blocking = 0.0;
       for (const auto& [prims, name] :

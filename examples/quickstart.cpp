@@ -26,6 +26,9 @@ int main(int argc, char** argv) {
     if (flags.get_bool("no-bug", false)) {
       spec.config = machine::SccConfig::bug_fixed();
     }
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
     std::printf("Allreduce of %zu doubles on %d simulated SCC cores "
                 "(MPB arbiter bug workaround: %s)\n\n",

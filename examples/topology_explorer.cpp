@@ -25,6 +25,9 @@ int main(int argc, char** argv) {
     hw.mpb_bug_workaround = !flags.get_bool("no-bug", false);
     const mem::LatencyCalculator calc(hw, topo);
     const int origin = static_cast<int>(flags.get_int("from-core", 0));
+    for (const std::string& name : flags.unconsumed()) {
+      throw std::runtime_error("unknown flag --" + name);
+    }
 
     std::printf("SCC mesh: %dx%d tiles, %d cores, MPB arbiter-bug "
                 "workaround %s\n\n",

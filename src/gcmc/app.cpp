@@ -1,15 +1,12 @@
 #include "gcmc/app.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "common/aligned.hpp"
 #include "coll/collectives.hpp"
-#include "coll/mpb_allreduce.hpp"
-#include "coll/stack.hpp"
+#include "harness/op.hpp"
 #include "machine/scc_machine.hpp"
-#include "rckmpi/mpi.hpp"
 
 namespace scc::gcmc {
 
@@ -23,58 +20,33 @@ constexpr std::uint64_t kInsertPct = 20;
 
 enum class Action { kTranslate, kInsert, kDelete };
 
-coll::Prims prims_of(PaperVariant v) {
-  switch (v) {
-    case PaperVariant::kBlocking: return coll::Prims::kBlocking;
-    case PaperVariant::kIrcce: return coll::Prims::kIrcce;
-    default: return coll::Prims::kLightweight;
-  }
-}
-
-coll::SplitPolicy split_of(PaperVariant v) {
-  return (v == PaperVariant::kLwBalanced || v == PaperVariant::kMpb)
-             ? coll::SplitPolicy::kBalanced
-             : coll::SplitPolicy::kStandard;
-}
-
 /// The communication stack of one core for one app run.
 struct Comm {
-  Comm(machine::CoreApi& api, const rcce::Layout& layout,
-       const rckmpi::ChannelLayout* mpi_layout, PaperVariant which)
-      : stack(api, layout, prims_of(which)),
-        mpb(api, layout),
-        variant(which) {
-    if (which == PaperVariant::kRckmpi) {
-      SCC_EXPECTS(mpi_layout != nullptr);
-      mpi.emplace(api, *mpi_layout);
-    }
-  }
+  Comm(machine::CoreApi& api, const harness::RunLayouts& layouts,
+       PaperVariant which)
+      : core(api, layouts, which), variant(which) {}
 
   sim::Task<> allreduce(std::span<const double> in, std::span<double> out) {
-    if (mpi) {
-      co_await mpi->allreduce(in, out, rckmpi::ReduceOp::kSum);
-      co_return;
-    }
+    const harness::Op op(harness::Collective::kAllreduce,
+                         harness::split_of(variant));
+    // MPB-direct needs one element per core; smaller vectors (the scalar
+    // short-range Allreduce) take the Stack.
     if (variant == PaperVariant::kMpb &&
-        in.size() >= static_cast<std::size_t>(stack.num_cores())) {
-      co_await mpb.run(in, out, coll::ReduceOp::kSum, split_of(variant));
+        in.size() < static_cast<std::size_t>(core.stack().num_cores())) {
+      co_await coll::allreduce(core.stack(), in, out, coll::ReduceOp::kSum,
+                               op.split);
       co_return;
     }
-    co_await coll::allreduce(stack, in, out, coll::ReduceOp::kSum,
-                             split_of(variant));
+    co_await core.run(op, in, out);
   }
 
   sim::Task<> broadcast(std::span<double> data, int root) {
-    if (mpi) {
-      co_await mpi->bcast(data, root);
-      co_return;
-    }
-    co_await coll::broadcast(stack, data, root, split_of(variant));
+    co_await core.run(harness::Op(harness::Collective::kBroadcast,
+                                  harness::split_of(variant), root),
+                      {}, data);
   }
 
-  coll::Stack stack;
-  coll::MpbAllreduce mpb;
-  std::optional<rckmpi::Mpi> mpi;
+  harness::CoreComm core;
   PaperVariant variant;
 };
 
@@ -184,11 +156,11 @@ void pack_particle(const Particle& p, double energy,
   buffer[i] = energy;
 }
 
-sim::Task<> gcmc_core(machine::CoreApi& api, const rcce::Layout& layout,
-                      const rckmpi::ChannelLayout* mpi_layout,
+sim::Task<> gcmc_core(machine::CoreApi& api,
+                      const harness::RunLayouts& layouts,
                       const AppParams& params, PaperVariant variant,
                       CoreState& st) {
-  Comm comm(api, layout, mpi_layout, variant);
+  Comm comm(api, layouts, variant);
   const int p = api.num_cores();
   const int self = api.rank();
   const double box = params.model.box_length;
@@ -341,14 +313,8 @@ AppResult run_app(const AppParams& params, harness::PaperVariant variant,
                   machine::SccConfig config) {
   const int p = config.num_cores();
   SCC_EXPECTS(params.particles_total <= params.max_local_particles * p);
-  rcce::Layout layout(p);
-  int flags_needed = layout.flags_needed();
-  std::optional<rckmpi::ChannelLayout> mpi_layout;
-  if (variant == harness::PaperVariant::kRckmpi) {
-    mpi_layout.emplace(layout);
-    flags_needed = mpi_layout->flags_needed();
-  }
-  config.flags_per_core = std::max(config.flags_per_core, flags_needed);
+  const harness::RunLayouts layouts(variant, p);
+  layouts.reserve_flags(config);
   machine::SccMachine machine(config);
 
   const KSpace kspace(params.model);
@@ -357,9 +323,8 @@ AppResult run_app(const AppParams& params, harness::PaperVariant variant,
   for (int r = 0; r < p; ++r) states.emplace_back(params, kspace, p);
 
   for (int r = 0; r < p; ++r) {
-    machine.launch(r, gcmc_core(machine.core(r), layout,
-                                mpi_layout ? &*mpi_layout : nullptr, params,
-                                variant, states[static_cast<std::size_t>(r)]));
+    machine.launch(r, gcmc_core(machine.core(r), layouts, params, variant,
+                                states[static_cast<std::size_t>(r)]));
   }
   machine.run();
 

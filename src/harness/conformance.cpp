@@ -6,6 +6,7 @@
 
 #include "common/string_util.hpp"
 #include "exec/executor.hpp"
+#include "harness/op.hpp"
 
 namespace scc::harness {
 
@@ -62,7 +63,7 @@ RunSpec base_run_spec(const ConformanceSpec& spec, coll::Prims prims,
   return run;
 }
 
-/// Collectives with an MPI counterpart wired into run_op_mpi.
+/// Collectives with an MPI counterpart wired into CoreComm::run.
 bool mpi_supported(Collective c) {
   switch (c) {
     case Collective::kAllgather:
@@ -82,19 +83,6 @@ bool mpi_supported(Collective c) {
 /// all reduction orders bit-equal), so cells running foreign schedules
 /// (RCKMPI) can still be cross-checked against the RCCE reference.
 bool value_deterministic(Collective c) {
-  switch (c) {
-    case Collective::kAllgather:
-    case Collective::kAlltoall:
-    case Collective::kBroadcast:
-    case Collective::kAllreduce:
-      return true;
-    default:
-      return false;
-  }
-}
-
-/// Collectives with a non-blocking i*() entry point (coll/nbc.hpp).
-bool nbc_supported(Collective c) {
   switch (c) {
     case Collective::kAllgather:
     case Collective::kAlltoall:
@@ -128,7 +116,7 @@ std::vector<Cell> build_cells(const ConformanceSpec& spec,
     cells.push_back(
         Cell{"rckmpi", run, value_deterministic(spec.collective)});
   }
-  if (spec.check_nbc && nbc_supported(spec.collective)) {
+  if (spec.check_nbc && has_nbc_entry(spec.collective)) {
     for (const coll::Prims prims : coll::kAllPrims) {
       RunSpec run = base_run_spec(spec, prims, algo);
       run.nonblocking = true;

@@ -45,6 +45,20 @@ enum class PaperVariant {
   return "?";
 }
 
+inline constexpr PaperVariant kAllVariants[] = {
+    PaperVariant::kRckmpi,      PaperVariant::kBlocking,
+    PaperVariant::kIrcce,       PaperVariant::kLightweight,
+    PaperVariant::kLwBalanced,  PaperVariant::kMpb};
+
+/// Inverse of variant_name; nullopt for an unknown name.
+[[nodiscard]] constexpr std::optional<PaperVariant> parse_variant(
+    std::string_view name) {
+  for (const PaperVariant v : kAllVariants) {
+    if (variant_name(v) == name) return v;
+  }
+  return std::nullopt;
+}
+
 enum class Collective {
   kAllgather,
   kAlltoall,
@@ -73,6 +87,22 @@ enum class Collective {
     case Collective::kAllgatherv: return "allgatherv";
   }
   return "?";
+}
+
+inline constexpr Collective kAllCollectives[] = {
+    Collective::kAllgather,     Collective::kAlltoall,
+    Collective::kReduceScatter, Collective::kBroadcast,
+    Collective::kReduce,        Collective::kAllreduce,
+    Collective::kScatter,       Collective::kGather,
+    Collective::kAllgatherv};
+
+/// Inverse of collective_name; nullopt for an unknown name.
+[[nodiscard]] constexpr std::optional<Collective> parse_collective(
+    std::string_view name) {
+  for (const Collective c : kAllCollectives) {
+    if (collective_name(c) == name) return c;
+  }
+  return std::nullopt;
 }
 
 /// Variants plotted for a given collective in Fig. 9 (e.g. the balanced

@@ -3,14 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
-#include "coll/collectives.hpp"
-#include "coll/nbc.hpp"
 #include "common/aligned.hpp"
 #include "common/rng.hpp"
 #include "common/string_util.hpp"
+#include "harness/op.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/collect.hpp"
 
@@ -18,33 +19,16 @@ namespace scc::harness {
 
 namespace {
 
-coll::Prims prims_of(PaperVariant v) {
-  switch (v) {
-    case PaperVariant::kBlocking: return coll::Prims::kBlocking;
-    case PaperVariant::kIrcce: return coll::Prims::kIrcce;
-    default: return coll::Prims::kLightweight;
-  }
-}
+/// The collectives a stream draws from, in draw-index order (a schedule is
+/// a pure function of this order). All have non-blocking entry points.
+constexpr Collective kStreamKinds[] = {
+    Collective::kAllreduce, Collective::kAllgather, Collective::kAlltoall,
+    Collective::kBroadcast};
+static_assert(std::ranges::all_of(kStreamKinds, has_nbc_entry));
 
-coll::SplitPolicy split_of(PaperVariant v) {
-  return v == PaperVariant::kLwBalanced ? coll::SplitPolicy::kBalanced
-                                        : coll::SplitPolicy::kStandard;
-}
-
-struct KindSizes {
-  std::size_t in_elems = 0;
-  std::size_t out_elems = 0;
-};
-
-KindSizes kind_sizes(TrafficKind k, std::size_t n, int p) {
-  const auto up = static_cast<std::size_t>(p);
-  switch (k) {
-    case TrafficKind::kAllreduce: return {n, n};
-    case TrafficKind::kAllgather: return {n, n * up};
-    case TrafficKind::kAlltoall: return {n * up, n * up};
-    case TrafficKind::kBroadcast: return {0, n};  // in-place payload in out
-  }
-  return {n, n};
+/// The op of one scheduled request.
+Op op_of(const TrafficRequest& req, PaperVariant variant) {
+  return Op(req.kind, split_of(variant), req.root);
 }
 
 /// Integer-valued inputs keyed on (run seed, request index, rank): every
@@ -75,59 +59,16 @@ struct TrafficProbe {
   SimTime makespan;
 };
 
-sim::Task<> run_blocking_request(coll::Stack& stack, const TrafficSpec& spec,
-                                 const TrafficRequest& req,
-                                 aligned_vector<double>& in,
-                                 aligned_vector<double>& out) {
-  const coll::SplitPolicy split = split_of(spec.variant);
-  switch (req.kind) {
-    case TrafficKind::kAllreduce:
-      co_await coll::allreduce(stack, in, out, coll::ReduceOp::kSum, split,
-                               coll::paper_algo(coll::CollKind::kAllreduce));
-      co_return;
-    case TrafficKind::kAllgather:
-      co_await coll::allgather(stack, in, out,
-                               coll::paper_algo(coll::CollKind::kAllgather));
-      co_return;
-    case TrafficKind::kAlltoall:
-      co_await coll::alltoall(stack, in, out,
-                              coll::paper_algo(coll::CollKind::kAlltoall));
-      co_return;
-    case TrafficKind::kBroadcast:
-      co_await coll::broadcast(stack, out, req.root, split);
-      co_return;
-  }
-}
-
-coll::nbc::CollRequest initiate_request(coll::nbc::ProgressEngine& engine,
-                                        const TrafficSpec& spec,
-                                        const TrafficRequest& req,
-                                        aligned_vector<double>& in,
-                                        aligned_vector<double>& out) {
-  const coll::SplitPolicy split = split_of(spec.variant);
-  switch (req.kind) {
-    case TrafficKind::kAllreduce:
-      return engine.iallreduce(in, out, coll::ReduceOp::kSum, split);
-    case TrafficKind::kAllgather:
-      return engine.iallgather(in, out);
-    case TrafficKind::kAlltoall:
-      return engine.ialltoall(in, out);
-    case TrafficKind::kBroadcast:
-      return engine.ibcast(out, req.root, split);
-  }
-  return {};
-}
-
 /// Closed-loop baseline: the identical schedule, drained strictly in
 /// arrival order through the blocking API. A request that arrives while an
 /// earlier one is still in service waits in line -- its sojourn latency
 /// includes the full head-of-line queueing delay.
 sim::Task<> serialized_program(machine::CoreApi& api,
-                               const rcce::Layout& layout,
+                               const RunLayouts& layouts,
                                const TrafficSpec& spec,
                                const std::vector<TrafficRequest>& schedule,
                                TrafficCoreData& data, TrafficProbe& probe) {
-  coll::Stack stack(api, layout, prims_of(spec.variant));
+  CoreComm comm(api, layouts, spec.variant);
   co_await api.sync_barrier();
   const SimTime t0 = api.now();
   for (std::size_t i = 0; i < schedule.size(); ++i) {
@@ -135,8 +76,8 @@ sim::Task<> serialized_program(machine::CoreApi& api,
     if (api.now() < target) {
       co_await api.charge(machine::Phase::kCompute, target - api.now());
     }
-    co_await run_blocking_request(stack, spec, schedule[i], data.in[i],
-                                  data.out[i]);
+    co_await comm.run(op_of(schedule[i], spec.variant), data.in[i],
+                      data.out[i]);
     if (api.rank() == 0) {
       probe.latency[i] = api.now() - target;
       probe.completion_order.push_back(i);
@@ -191,8 +132,9 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
     if (api.now() < target) {
       co_await api.charge(machine::Phase::kCompute, target - api.now());
     }
-    const coll::nbc::CollRequest req = initiate_request(
-        engine, spec, schedule[i], data.in[i], data.out[i]);
+    const coll::nbc::CollRequest req =
+        initiate_op(engine, op_of(schedule[i], spec.variant), data.in[i],
+                 data.out[i]);
     in_flight[static_cast<std::size_t>(engine.lane_of(req.id()))]
         .emplace_back(i, req);
   }
@@ -202,69 +144,6 @@ sim::Task<> open_loop_program(machine::CoreApi& api, const TrafficSpec& spec,
   }
   co_await api.sync_barrier();
   if (api.rank() == 0) probe.makespan = api.now() - t0;
-}
-
-void verify_request(const TrafficSpec& spec, std::size_t idx,
-                    const TrafficRequest& req, int p,
-                    const std::vector<TrafficCoreData>& data) {
-  const std::size_t n = spec.elements;
-  const auto fail = [&](int rank, std::size_t elem, double got, double want) {
-    throw std::runtime_error(strprintf(
-        "traffic verification failed: request %zu (%s, stream %d) core %d "
-        "element %zu: got %.17g want %.17g",
-        idx, std::string(traffic_kind_name(req.kind)).c_str(), req.stream,
-        rank, elem, got, want));
-  };
-  const auto& out_of = [&](int r) -> const aligned_vector<double>& {
-    return data[static_cast<std::size_t>(r)].out[idx];
-  };
-  const auto& in_of = [&](int r) -> const aligned_vector<double>& {
-    return data[static_cast<std::size_t>(r)].in[idx];
-  };
-  switch (req.kind) {
-    case TrafficKind::kAllreduce: {
-      std::vector<double> want(n, 0.0);
-      for (int src = 0; src < p; ++src)
-        for (std::size_t i = 0; i < n; ++i) want[i] += in_of(src)[i];
-      for (int r = 0; r < p; ++r)
-        for (std::size_t i = 0; i < n; ++i)
-          if (out_of(r)[i] != want[i]) fail(r, i, out_of(r)[i], want[i]);
-      return;
-    }
-    case TrafficKind::kAllgather: {
-      for (int r = 0; r < p; ++r)
-        for (int src = 0; src < p; ++src)
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t e = static_cast<std::size_t>(src) * n + i;
-            if (out_of(r)[e] != in_of(src)[i])
-              fail(r, e, out_of(r)[e], in_of(src)[i]);
-          }
-      return;
-    }
-    case TrafficKind::kAlltoall: {
-      for (int r = 0; r < p; ++r)
-        for (int src = 0; src < p; ++src)
-          for (std::size_t i = 0; i < n; ++i) {
-            const std::size_t e = static_cast<std::size_t>(src) * n + i;
-            const double want =
-                in_of(src)[static_cast<std::size_t>(r) * n + i];
-            if (out_of(r)[e] != want) fail(r, e, out_of(r)[e], want);
-          }
-      return;
-    }
-    case TrafficKind::kBroadcast: {
-      // The root's payload was staged in its own out slot before launch;
-      // every core must end up with a bit-equal copy. Recompute it from the
-      // deterministic fill instead of reading the root's (possibly
-      // repainted) buffer.
-      aligned_vector<double> want(n);
-      fill_request_input(want, spec.seed ^ 0xb40adca57ULL, idx, req.root);
-      for (int r = 0; r < p; ++r)
-        for (std::size_t i = 0; i < n; ++i)
-          if (out_of(r)[i] != want[i]) fail(r, i, out_of(r)[i], want[i]);
-      return;
-    }
-  }
 }
 
 }  // namespace
@@ -294,9 +173,8 @@ std::vector<TrafficRequest> traffic_schedule(const TrafficSpec& spec, int p) {
       TrafficRequest req;
       req.arrival = t;
       req.stream = s;
-      req.kind = static_cast<TrafficKind>(
-          rng.below(static_cast<std::uint64_t>(kTrafficKinds)));
-      req.root = req.kind == TrafficKind::kBroadcast ? s % p : 0;
+      req.kind = kStreamKinds[rng.below(std::size(kStreamKinds))];
+      req.root = req.kind == Collective::kBroadcast ? s % p : 0;
       merged.push_back(req);
     }
   }
@@ -331,13 +209,11 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   config.tiles_y = spec.tiles_y;
   if (spec.pdes_workers > 0) config.pdes_workers = spec.pdes_workers;
   const int p = config.num_cores();
-  rcce::Layout layout(p);
-  int flags_needed = layout.flags_needed();
-  if (!spec.serialize) {
+  const RunLayouts layouts(spec.variant, p);
+  if (!spec.serialize && spec.lanes > 1) {
     for (int lane = 0; lane < spec.lanes; ++lane) {
       const rcce::Layout sub = rcce::Layout::lane(p, lane, spec.lanes);
-      flags_needed = std::max(flags_needed, sub.flags_needed());
-      if (spec.lanes > 1 && spec.elements * sizeof(double) > sub.chunk_bytes()) {
+      if (spec.elements * sizeof(double) > sub.chunk_bytes()) {
         // Oversized messages fall back to blocking completion waits inside
         // a lane step, which can deadlock across lanes -- reject up front.
         throw std::runtime_error(strprintf(
@@ -348,27 +224,16 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
       }
     }
   }
-  config.flags_per_core = std::max(config.flags_per_core, flags_needed);
+  layouts.reserve_flags(config, spec.serialize ? 0 : spec.lanes);
   machine::SccMachine machine(config);
-  std::optional<metrics::Sampler> sampler;
-  const std::string label =
-      strprintf("traffic/%s%s lanes=%d streams=%d",
-                std::string(variant_name(spec.variant)).c_str(),
-                spec.serialize ? " serialized" : "",
-                spec.serialize ? 1 : spec.lanes, spec.streams);
+  std::unique_ptr<metrics::Sampler> sampler;
   if (spec.sample_interval > SimTime::zero()) {
-    if (machine.partitions() > 1) {
-      sampler.emplace(SimTime::zero());
-      sampler->set_label(label);
-      metrics::add_machine_columns(machine, *sampler);
-      machine.pdes().set_window_probe(
-          [&s = *sampler](SimTime t) { s.tick(t); });
-    } else {
-      sampler.emplace(spec.sample_interval);
-      sampler->set_label(label);
-      metrics::add_machine_columns(machine, *sampler);
-      sampler->attach(machine.engine());
-    }
+    sampler = metrics::attach_machine_sampler(
+        machine, spec.sample_interval,
+        strprintf("traffic/%s%s lanes=%d streams=%d",
+                  std::string(variant_name(spec.variant)).c_str(),
+                  spec.serialize ? " serialized" : "",
+                  spec.serialize ? 1 : spec.lanes, spec.streams));
   }
 
   const std::vector<TrafficRequest> schedule = traffic_schedule(spec, p);
@@ -378,15 +243,16 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
     d.in.resize(schedule.size());
     d.out.resize(schedule.size());
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-      const KindSizes sizes = kind_sizes(schedule[i].kind, spec.elements, p);
-      d.in[i].resize(sizes.in_elems);
-      d.out[i].resize(sizes.out_elems, 0.0);
+      const BufferShape shape =
+          buffer_shape(schedule[i].kind, spec.elements, p);
+      d.in[i].resize(shape.in_elems);
+      d.out[i].resize(shape.out_elems, 0.0);
       fill_request_input(d.in[i], spec.seed, i, r);
-      if (schedule[i].kind == TrafficKind::kBroadcast &&
+      if (schedule[i].kind == Collective::kBroadcast &&
           r == schedule[i].root) {
-        // The broadcast payload lives in the root's out slot (in-place
-        // API); a distinct seed axis keeps it disjoint from in-buffers.
-        fill_request_input(d.out[i], spec.seed ^ 0xb40adca57ULL, i, r);
+        // The root broadcasts a copy of its in slot in place; the in slot
+        // stays untouched, so the check compares against the original.
+        d.out[i] = d.in[i];
       }
     }
   }
@@ -396,7 +262,7 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   for (int r = 0; r < p; ++r) {
     auto& d = data[static_cast<std::size_t>(r)];
     if (spec.serialize) {
-      machine.launch(r, serialized_program(machine.core(r), layout, spec,
+      machine.launch(r, serialized_program(machine.core(r), layouts, spec,
                                            schedule, d, probe));
     } else {
       machine.launch(
@@ -406,8 +272,18 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   machine.run();
 
   if (spec.verify) {
+    std::vector<RankBuffers> ranks(static_cast<std::size_t>(p));
     for (std::size_t i = 0; i < schedule.size(); ++i) {
-      verify_request(spec, i, schedule[i], p, data);
+      for (int r = 0; r < p; ++r) {
+        const auto& d = data[static_cast<std::size_t>(r)];
+        ranks[static_cast<std::size_t>(r)] = {d.in[i], d.out[i]};
+      }
+      check_op(op_of(schedule[i], spec.variant), spec.elements, ranks,
+               strprintf("traffic verification failed: request %zu (%s, "
+                         "stream %d)",
+                         i,
+                         std::string(collective_name(schedule[i].kind)).c_str(),
+                         schedule[i].stream));
     }
   }
 
@@ -424,12 +300,7 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   result.lines_sent = traffic.total_lines_sent();
   result.line_hops = traffic.total_line_hops();
   if (sampler) {
-    if (machine.partitions() > 1) {
-      machine.pdes().set_window_probe({});
-    } else {
-      machine.engine().clear_probe();
-    }
-    result.timeseries = sampler->take();
+    result.timeseries = metrics::detach_machine_sampler(machine, *sampler);
   }
   return result;
 }

@@ -9,9 +9,10 @@
 // This harness builds that workload deterministically:
 //
 //   1. A global schedule is precomputed on the host: every stream draws
-//      exponential interarrival gaps and a mixed collective kind per
-//      request from its own seeded Xoshiro256 stream; the streams are then
-//      merged into one arrival-ordered list shared by all cores. The
+//      exponential interarrival gaps and a collective per request (one
+//      of the four with a non-blocking entry point) from its own seeded
+//      Xoshiro256 stream; the streams are then merged into one
+//      arrival-ordered list shared by all cores. The
 //      schedule is a pure function of (spec, p) -- initiation order is
 //      SPMD by construction, which is exactly the contract the
 //      ProgressEngine's lane assignment needs.
@@ -35,7 +36,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 #include <vector>
 
 #include "harness/runner.hpp"
@@ -43,26 +43,6 @@
 #include "metrics/sampler.hpp"
 
 namespace scc::harness {
-
-/// The collective kinds a stream may draw. All four have non-blocking
-/// entry points; reduce/reduce_scatter do not (yet) and are excluded.
-enum class TrafficKind : std::uint8_t {
-  kAllreduce,
-  kAllgather,
-  kAlltoall,
-  kBroadcast,
-};
-inline constexpr int kTrafficKinds = 4;
-
-[[nodiscard]] constexpr std::string_view traffic_kind_name(TrafficKind k) {
-  switch (k) {
-    case TrafficKind::kAllreduce: return "allreduce";
-    case TrafficKind::kAllgather: return "allgather";
-    case TrafficKind::kAlltoall: return "alltoall";
-    case TrafficKind::kBroadcast: return "broadcast";
-  }
-  return "?";
-}
 
 struct TrafficSpec {
   /// Independent tenant streams; each draws its own interarrival gaps and
@@ -104,7 +84,7 @@ struct TrafficSpec {
 struct TrafficRequest {
   SimTime arrival;   // offset from the post-setup barrier instant
   int stream = 0;    // issuing tenant
-  TrafficKind kind = TrafficKind::kAllreduce;
+  Collective kind = Collective::kAllreduce;  // one with an i*() entry
   int root = 0;      // broadcast root (stream % p); unused otherwise
 };
 

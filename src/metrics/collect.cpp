@@ -1,5 +1,7 @@
 #include "metrics/collect.hpp"
 
+#include <utility>
+
 #include "common/string_util.hpp"
 
 namespace scc::metrics {
@@ -190,6 +192,33 @@ void add_machine_columns(machine::SccMachine& machine, Sampler& sampler) {
     for (int r = 0; r < m->num_cores(); ++r) total += m->mpb().high_water(r);
     return total;
   });
+}
+
+std::unique_ptr<Sampler> attach_machine_sampler(machine::SccMachine& machine,
+                                                SimTime interval,
+                                                std::string label) {
+  const bool partitioned = machine.partitions() > 1;
+  auto sampler =
+      std::make_unique<Sampler>(partitioned ? SimTime::zero() : interval);
+  sampler->set_label(std::move(label));
+  add_machine_columns(machine, *sampler);
+  if (partitioned) {
+    machine.pdes().set_window_probe(
+        [&s = *sampler](SimTime t) { s.tick(t); });
+  } else {
+    sampler->attach(machine.engine());
+  }
+  return sampler;
+}
+
+TimeSeries detach_machine_sampler(machine::SccMachine& machine,
+                                  Sampler& sampler) {
+  if (machine.partitions() > 1) {
+    machine.pdes().set_window_probe({});
+  } else {
+    machine.engine().clear_probe();
+  }
+  return sampler.take();
 }
 
 void collect_channel(const rckmpi::ChannelStats& stats,

@@ -3,6 +3,9 @@
 // for the path schema and the volume-type/time-type classification.
 #pragma once
 
+#include <memory>
+#include <string>
+
 #include "exec/executor.hpp"
 #include "machine/scc_machine.hpp"
 #include "metrics/registry.hpp"
@@ -42,8 +45,21 @@ void collect_worker_pool(const exec::WorkerPoolStats& stats,
 /// (cumulative counters, same naming as the registry paths): engine event /
 /// park progress, flag-wait occupancy, flag traffic, NoC volume and
 /// contention, cache totals and MPB footprint summed over cores. The
-/// machine must outlive the sampler's ticking (columns capture &machine);
-/// attach the sampler to machine.engine() afterwards.
+/// machine must outlive the sampler's ticking (columns capture &machine).
 void add_machine_columns(machine::SccMachine& machine, Sampler& sampler);
+
+/// Starts a flight recorder labelled `label` with the standard machine
+/// columns. A serial machine ticks it from its engine's probe every
+/// `interval`. A partitioned machine has no single engine that owns the
+/// clock, so it ticks at every PDES window barrier instead: the only
+/// globally consistent instants, and a pure function of (config,
+/// lookahead), so the series is the same for every worker count. Stop it
+/// with detach_machine_sampler while the machine is still alive.
+[[nodiscard]] std::unique_ptr<Sampler> attach_machine_sampler(
+    machine::SccMachine& machine, SimTime interval, std::string label);
+
+/// Unhooks `sampler` from `machine` and returns its series.
+[[nodiscard]] TimeSeries detach_machine_sampler(machine::SccMachine& machine,
+                                                Sampler& sampler);
 
 }  // namespace scc::metrics
