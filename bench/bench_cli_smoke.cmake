@@ -43,6 +43,7 @@ run_bench(0 fig10_gcmc_app --cycles=1)
 run_bench(0 tab_wait_profile --cycles=1)
 run_bench(0 tab_block_split)
 run_bench(2 fig9f_allreduce --form=552)
+run_bench(2 work_counters --elements=8)
 # Unknown names: the shared parsers reject them through each CLI's own
 # error exit.
 run_bench(2 perturb_soak --collective=nope)

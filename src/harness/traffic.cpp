@@ -208,6 +208,7 @@ TrafficResult run_traffic(const TrafficSpec& spec) {
   config.tiles_x = spec.tiles_x;
   config.tiles_y = spec.tiles_y;
   if (spec.pdes_workers > 0) config.pdes_workers = spec.pdes_workers;
+  config.perturb_seed = spec.perturb_seed;
   const int p = config.num_cores();
   const RunLayouts layouts(spec.variant, p);
   if (!spec.serialize && spec.lanes > 1) {

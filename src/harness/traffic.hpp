@@ -78,6 +78,10 @@ struct TrafficSpec {
   /// When nonzero, attaches the metrics::Sampler flight recorder at this
   /// simulated-time cadence (TrafficResult::timeseries).
   SimTime sample_interval = SimTime::zero();
+  /// When set, the engine permutes equal-time events with this seed
+  /// (SccConfig::perturb_seed; no delays are injected). Tests use it to
+  /// show that tie order moves no simulated result.
+  std::optional<std::uint64_t> perturb_seed;
 };
 
 /// One scheduled request of the merged arrival-ordered global program.

@@ -124,7 +124,7 @@ sim::Task<int> Ircce::resolve_any_source(List::iterator it) {
       // invisible to this wildcard (draining that receive instead could
       // block on a message that is legitimately still far away).
       if (claimed_by_earlier(it, src)) continue;
-      if (rcce::sent_is_up(api, layout, src)) co_return src;
+      if (co_await rcce::sent_is_up(api, layout, src)) co_return src;
     }
     co_await api.charge(machine::Phase::kFlagWait,
                         api.cost().hw.core_clock().cycles(kAnySourcePollCycles));
@@ -169,7 +169,7 @@ sim::Task<bool> Ircce::test(RequestId id) {
   if (auto it = find_send(id); it != sends_.end()) {
     co_await progress_sends();
     if (it->state == State::kStaged && sends_.begin() == it &&
-        api.flag_peek(layout.ready_flag(rank(), it->peer)) != 0 &&
+        co_await api.flag_peek(layout.ready_flag(rank(), it->peer)) != 0 &&
         it->sdata.size() <= layout.chunk_bytes()) {
       co_await complete_send(it);
       co_return true;
@@ -183,7 +183,7 @@ sim::Task<bool> Ircce::test(RequestId id) {
     if (first_blocker(it) != recvs_.end()) co_return false;
     const int src = it->peer;
     if (it->rdata.size() > layout.chunk_bytes()) co_return false;
-    if (src != kAnySource && sent_is_up(api, layout, src)) {
+    if (src != kAnySource && co_await sent_is_up(api, layout, src)) {
       co_await complete_recv(it);
       co_return true;
     }
@@ -191,7 +191,7 @@ sim::Task<bool> Ircce::test(RequestId id) {
       for (int candidate = 0; candidate < rcce_->num_cores(); ++candidate) {
         if (candidate == rank()) continue;
         if (claimed_by_earlier(it, candidate)) continue;
-        if (rcce::sent_is_up(api, layout, candidate)) {
+        if (co_await rcce::sent_is_up(api, layout, candidate)) {
           it->peer = candidate;
           co_await complete_recv(it);
           co_return true;

@@ -97,7 +97,8 @@ sim::Task<bool> Lwnb::test_send() {
   auto& api = rcce_->api();
   const rcce::Layout& layout = rcce_->layout();
   if (sdata_.size() > layout.chunk_bytes()) co_return false;
-  if (api.flag_peek(layout.ready_flag(rank(), sdest_)) == 0) co_return false;
+  if (co_await api.flag_peek(layout.ready_flag(rank(), sdest_)) == 0)
+    co_return false;
   co_await rcce::await_ack(api, layout, sdest_);  // flag up: no wait
   co_await api.overhead(api.cost().sw.lwnb_complete);
   send_pending_ = false;
@@ -109,7 +110,7 @@ sim::Task<bool> Lwnb::test_recv() {
   auto& api = rcce_->api();
   const rcce::Layout& layout = rcce_->layout();
   if (rdata_.size() > layout.chunk_bytes()) co_return false;
-  if (!rcce::sent_is_up(api, layout, rsrc_)) co_return false;
+  if (!co_await rcce::sent_is_up(api, layout, rsrc_)) co_return false;
   co_await rcce::await_and_fetch(api, layout, rdata_, rsrc_);
   co_await rcce::ack_sender(api, layout, rsrc_);
   co_await api.overhead(api.cost().sw.lwnb_complete);

@@ -19,7 +19,7 @@ CoreApi::CoreApi(SccMachine& machine, int rank)
 
 int CoreApi::num_cores() const { return machine_->num_cores(); }
 
-SimTime CoreApi::now() const { return engine_->now(); }
+SimTime CoreApi::now() const { return engine_->now() + local_; }
 
 const mem::CostModel& CoreApi::cost() const {
   return machine_->config().cost;
@@ -29,38 +29,53 @@ bool CoreApi::cross_partition(int core) const {
   return machine_->partition_of_core(core) != partition_;
 }
 
-sim::Task<> CoreApi::charge_impl(Phase phase, SimTime duration,
-                                 std::string detail) {
+void CoreApi::record(Phase phase, SimTime duration, std::string detail) {
   profile_.add(phase, duration);
   if (auto* trace = machine_->trace_of(partition_)) {
     const SimTime start = now();
     trace->interval(rank_, phase_name(phase), start, start + duration,
                     std::move(detail));
   }
-  co_await engine_->sleep_for(duration);
 }
 
-sim::Task<> CoreApi::compute(std::uint64_t core_cycles) {
-  return charge_impl(Phase::kCompute,
-                     machine_->latency().core_cycles(core_cycles, rank_));
+CoreApi::Charged CoreApi::charge(Phase phase, SimTime duration) {
+  record(phase, duration);
+  local_ += duration;
+  local_phase_ = phase;
+  return {};
 }
 
-sim::Task<> CoreApi::overhead(std::uint64_t core_cycles) {
-  return charge_impl(Phase::kSwOverhead,
-                     machine_->latency().core_cycles(core_cycles, rank_));
+auto CoreApi::charge_shared(Phase phase, SimTime duration,
+                            std::string detail) {
+  SCC_EXPECTS(local_ == SimTime::zero());
+  record(phase, duration, std::move(detail));
+  profile_.note_event(phase);
+  return engine_->sleep_for(duration);
 }
 
-sim::Task<> CoreApi::wait_poll(std::uint64_t core_cycles,
-                               std::uint64_t after_cycles) {
+void CoreApi::flush(std::coroutine_handle<> h) {
+  profile_.note_event(local_phase_);
+  engine_->schedule_resume(engine_->now() + local_, h);
+  local_ = SimTime::zero();
+}
+
+CoreApi::Charged CoreApi::compute(std::uint64_t core_cycles) {
+  return charge(Phase::kCompute,
+                machine_->latency().core_cycles(core_cycles, rank_));
+}
+
+CoreApi::Charged CoreApi::overhead(std::uint64_t core_cycles) {
+  return charge(Phase::kSwOverhead,
+                machine_->latency().core_cycles(core_cycles, rank_));
+}
+
+CoreApi::Charged CoreApi::wait_poll(std::uint64_t core_cycles,
+                                    std::uint64_t after_cycles) {
   const auto& latency = machine_->latency();
-  return charge_impl(
+  return charge(
       Phase::kFlagWait,
       latency.core_cycles(after_cycles + core_cycles, rank_) -
           latency.core_cycles(after_cycles, rank_));
-}
-
-sim::Task<> CoreApi::charge(Phase phase, SimTime duration) {
-  return charge_impl(phase, duration);
 }
 
 SimTime CoreApi::contention_delay(int from, int to, std::size_t bytes) {
@@ -71,6 +86,7 @@ SimTime CoreApi::contention_delay(int from, int to, std::size_t bytes) {
 
 sim::Task<> CoreApi::mpb_put(mem::MpbAddr dst,
                              std::span<const std::byte> src) {
+  co_await sync();
   SimTime t =
       machine_->latency().mpb_bulk(rank_, dst.core, src.size(), /*is_read=*/false);
   if (dst.core != rank_) {
@@ -92,14 +108,15 @@ sim::Task<> CoreApi::mpb_put(mem::MpbAddr dst,
             [m = machine_, dst, staged = std::move(staged)] {
               m->mpb().write(dst, staged);
             }));
-    co_await charge_impl(Phase::kMpbTransfer, t);
+    co_await charge_shared(Phase::kMpbTransfer, t);
     co_return;
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  co_await charge_shared(Phase::kMpbTransfer, t);
   machine_->mpb().write(dst, src);
 }
 
 sim::Task<> CoreApi::mpb_get(mem::MpbAddr src, std::span<std::byte> dst) {
+  co_await sync();
   SimTime t =
       machine_->latency().mpb_bulk(rank_, src.core, dst.size(), /*is_read=*/true);
   if (src.core != rank_) {
@@ -121,15 +138,16 @@ sim::Task<> CoreApi::mpb_get(mem::MpbAddr src, std::span<std::byte> dst) {
         partition_, machine_->partition_of_core(src.core),
         now() + t - lookahead,
         sim::SmallCallable([m = machine_, src, dst] { m->mpb().read(src, dst); }));
-    co_await charge_impl(Phase::kMpbTransfer, t);
+    co_await charge_shared(Phase::kMpbTransfer, t);
     co_return;
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  co_await charge_shared(Phase::kMpbTransfer, t);
   machine_->mpb().read(src, dst);
 }
 
 sim::Task<> CoreApi::mpb_charge(int mpb_owner, std::size_t bytes,
                                 bool is_read) {
+  co_await sync();
   SimTime t = machine_->latency().mpb_bulk(rank_, mpb_owner, bytes, is_read);
   if (mpb_owner != rank_) {
     const int from = is_read ? mpb_owner : rank_;
@@ -138,11 +156,12 @@ sim::Task<> CoreApi::mpb_charge(int mpb_owner, std::size_t bytes,
                                                      mem::lines_for(bytes));
     t += contention_delay(from, to, bytes);
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  co_await charge_shared(Phase::kMpbTransfer, t);
 }
 
 sim::Task<> CoreApi::mpb_word_charge(int mpb_owner, std::size_t bytes,
                                      bool is_read) {
+  co_await sync();
   SimTime t =
       machine_->latency().mpb_word_stream(rank_, mpb_owner, bytes, is_read);
   if (mpb_owner != rank_) {
@@ -152,10 +171,11 @@ sim::Task<> CoreApi::mpb_word_charge(int mpb_owner, std::size_t bytes,
                                                      mem::lines_for(bytes));
     t += contention_delay(from, to, bytes);
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  co_await charge_shared(Phase::kMpbTransfer, t);
 }
 
 sim::Task<> CoreApi::mpb_word_get(mem::MpbAddr src, std::span<std::byte> dst) {
+  co_await sync();
   SimTime t = machine_->latency().mpb_word_stream(rank_, src.core, dst.size(),
                                                   /*is_read=*/true);
   if (src.core != rank_) {
@@ -173,16 +193,17 @@ sim::Task<> CoreApi::mpb_word_get(mem::MpbAddr src, std::span<std::byte> dst) {
         partition_, machine_->partition_of_core(src.core),
         now() + t - lookahead,
         sim::SmallCallable([m = machine_, src, dst] { m->mpb().read(src, dst); }));
-    co_await charge_impl(Phase::kMpbTransfer, t);
+    co_await charge_shared(Phase::kMpbTransfer, t);
     co_return;
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  co_await charge_shared(Phase::kMpbTransfer, t);
   machine_->mpb().read(src, dst);
 }
 
 sim::Task<> CoreApi::mpb_apply_write(int mpb_owner, std::size_t bytes,
                                      sim::SmallCallable apply) {
   SCC_EXPECTS(static_cast<bool>(apply));
+  co_await sync();
   SimTime t = machine_->latency().mpb_bulk(rank_, mpb_owner, bytes,
                                            /*is_read=*/false);
   if (mpb_owner != rank_) {
@@ -194,17 +215,18 @@ sim::Task<> CoreApi::mpb_apply_write(int mpb_owner, std::size_t bytes,
     SCC_EXPECTS(t >= machine_->pdes().lookahead());
     machine_->pdes().post(partition_, machine_->partition_of_core(mpb_owner),
                           now() + t, std::move(apply));
-    co_await charge_impl(Phase::kMpbTransfer, t);
+    co_await charge_shared(Phase::kMpbTransfer, t);
     co_return;
   }
-  co_await charge_impl(Phase::kMpbTransfer, t);
+  co_await charge_shared(Phase::kMpbTransfer, t);
   apply();
 }
 
 std::span<std::byte> CoreApi::mpb_window(mem::MpbAddr addr,
                                          std::size_t bytes) {
-  // Partition locality: a window is raw shared storage, so on a
-  // partitioned machine only the owning slab may touch it.
+  // Raw shared storage: read or written at the core's true time only, and
+  // on a partitioned machine only by the owning slab.
+  SCC_EXPECTS(local_ == SimTime::zero());
   SCC_EXPECTS(!cross_partition(addr.core));
   return machine_->mpb().range(addr, bytes);
 }
@@ -221,21 +243,22 @@ std::size_t norm_bytes(std::size_t bytes) {
 }
 }  // namespace
 
-sim::Task<> CoreApi::priv_read(const void* p, std::size_t bytes) {
+CoreApi::Charged CoreApi::priv_read(const void* p, std::size_t bytes) {
   const auto result =
       machine_->cache(rank_).touch_read(norm_base(p), norm_bytes(bytes));
-  co_await charge_impl(Phase::kPrivMem,
-                       machine_->latency().priv_access(rank_, result));
+  return charge(Phase::kPrivMem,
+                machine_->latency().priv_access(rank_, result));
 }
 
-sim::Task<> CoreApi::priv_write(void* p, std::size_t bytes) {
+CoreApi::Charged CoreApi::priv_write(void* p, std::size_t bytes) {
   const auto result =
       machine_->cache(rank_).touch_write(norm_base(p), norm_bytes(bytes));
-  co_await charge_impl(Phase::kPrivMem,
-                       machine_->latency().priv_access(rank_, result));
+  return charge(Phase::kPrivMem,
+                machine_->latency().priv_access(rank_, result));
 }
 
 sim::Task<> CoreApi::flag_set(FlagRef ref, FlagValue value) {
+  co_await sync();
   SimTime t =
       machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                           /*is_read=*/false) +
@@ -257,11 +280,17 @@ sim::Task<> CoreApi::flag_set(FlagRef ref, FlagValue value) {
         partition_, machine_->partition_of_core(ref.owner_core), now() + t,
         sim::SmallCallable(
             [m = machine_, ref, value] { m->flags().deposit(ref, value); }));
-    co_await charge_impl(Phase::kFlagOp, t, std::move(detail));
+    co_await charge_shared(Phase::kFlagOp, t, std::move(detail));
     co_return;
   }
-  co_await charge_impl(Phase::kFlagOp, t, std::move(detail));
+  co_await charge_shared(Phase::kFlagOp, t, std::move(detail));
   machine_->flags().deposit(ref, value);
+}
+
+SimTime CoreApi::detect_read(FlagRef ref) const {
+  return machine_->latency().mpb_line_access(rank_, ref.owner_core,
+                                             /*is_read=*/true) +
+         machine_->latency().core_cycles(cost().sw.flag_op, rank_);
 }
 
 sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
@@ -269,6 +298,7 @@ sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
   // on flags in its OWN MPB (the RCCE discipline). A cross-partition wait
   // would read remote state without paying the mesh -- forbidden.
   SCC_EXPECTS(!cross_partition(ref.owner_core));
+  co_await sync();
   auto& flags = machine_->flags();
   const SimTime start = now();
   while (flags.value(ref) != value) {
@@ -281,16 +311,14 @@ sim::Task<> CoreApi::flag_wait(FlagRef ref, FlagValue value) {
   }
   // The read that detects the value: the final poll iteration of
   // wait_until, so it profiles as wait time, not as a standalone flag op.
-  const SimTime t =
-      machine_->latency().mpb_line_access(rank_, ref.owner_core,
-                                          /*is_read=*/true) +
-      machine_->latency().core_cycles(cost().sw.flag_op, rank_);
-  co_await charge_impl(Phase::kFlagWait, t);
+  // The value is already seen, so its time is private.
+  co_await charge(Phase::kFlagWait, detect_read(ref));
 }
 
 sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
                                                FlagValue last_seen) {
   SCC_EXPECTS(!cross_partition(ref.owner_core));
+  co_await sync();
   auto& flags = machine_->flags();
   const SimTime start = now();
   while (flags.value(ref) == last_seen) {
@@ -301,28 +329,29 @@ sim::Task<FlagValue> CoreApi::flag_wait_change(FlagRef ref,
     trace->interval(rank_, phase_name(Phase::kFlagWait), start, now(),
                     strprintf("flag %d:%d", ref.owner_core, ref.index));
   }
-  const SimTime t =
-      machine_->latency().mpb_line_access(rank_, ref.owner_core,
-                                          /*is_read=*/true) +
-      machine_->latency().core_cycles(cost().sw.flag_op, rank_);
-  co_await charge_impl(Phase::kFlagWait, t);
+  // The returned value is read at the end of the detecting read, so that
+  // read stays shared.
+  co_await charge_shared(Phase::kFlagWait, detect_read(ref));
   co_return machine_->flags().value(ref);
 }
 
 sim::Task<FlagValue> CoreApi::flag_read(FlagRef ref) {
   SCC_EXPECTS(!cross_partition(ref.owner_core));
+  co_await sync();
   const SimTime t = machine_->latency().mpb_line_access(rank_, ref.owner_core,
                                                         /*is_read=*/true);
-  co_await charge_impl(Phase::kFlagOp, t);
+  co_await charge_shared(Phase::kFlagOp, t);
   co_return machine_->flags().value(ref);
 }
 
-FlagValue CoreApi::flag_peek(FlagRef ref) const {
+FlagValue CoreApi::peek_synced(FlagRef ref) const {
+  SCC_EXPECTS(local_ == SimTime::zero());
   SCC_EXPECTS(!cross_partition(ref.owner_core));
   return machine_->flags().value(ref);
 }
 
 sim::Task<> CoreApi::sync_barrier() {
+  co_await sync();
   auto& barrier = machine_->harness_barrier(partition_);
   if (machine_->partitions() == 1) {
     // Serial machine: the exact pre-PDES inline-release path (the last

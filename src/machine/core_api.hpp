@@ -13,8 +13,30 @@
 // operation's completion; this is slightly conservative and keeps the
 // protocol layers free of reordering concerns (RCCE issues an MPB fence
 // before flag writes on the real chip for the same reason).
+//
+// Core-local time: a core's time is its engine's clock plus a local offset,
+// and now() returns the sum. A *private* charge -- compute, overhead,
+// wait_poll, charge, priv_read, priv_write, and the detecting read that
+// ends a flag_wait -- touches nothing another core can observe. It updates
+// the profile, the trace interval (exact start and end) and the cache model
+// at issue, adds its duration to the offset and returns an awaiter that is
+// ready at once: no event, no coroutine frame. A *shared* action -- mpb_*,
+// flag_set, flag_read, flag_wait, flag_wait_change, sync_barrier -- first
+// syncs (one sleep for the offset), then runs at its true engine time, so
+// link-contention reservations, traffic counters, deposits and reads all
+// happen exactly when they would with one event per charge. The zero-cost
+// flag read is awaitable too: co_await flag_peek(ref) syncs first, so no
+// caller can read a flag early. mpb_window, the raw MPB view used after an
+// MPB charge (which leaves the core synced), aborts on an unsynced core. A
+// launched program syncs its trailing private time before it returns
+// (SccMachine::launch). Every event keeps its timestamp; only the order
+// among events of equal timestamp changes, and that order moves no result
+// (tests/integration/test_tie_order_invariance.cpp). This is SystemC
+// TLM-2.0's loosely-timed quantum keeper with a quantum of "until the next
+// shared access".
 #pragma once
 
+#include <coroutine>
 #include <cstddef>
 #include <span>
 #include <string>
@@ -48,28 +70,48 @@ class CoreApi {
   [[nodiscard]] int num_cores() const;
   /// The core's event-loop partition (0 on a serial machine).
   [[nodiscard]] int partition() const { return partition_; }
+  /// The core's time: its engine's clock plus unsynced private time.
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] const mem::CostModel& cost() const;
   [[nodiscard]] CoreProfile& profile() { return profile_; }
   [[nodiscard]] SccMachine& machine() { return *machine_; }
 
-  // --- time-only operations -------------------------------------------
+  /// What a private charge returns: already complete, so awaiting it
+  /// neither suspends nor allocates.
+  using Charged = std::suspend_never;
+
+  /// Awaitable that brings the engine's clock up to the core's time: one
+  /// sleep when private time is pending, ready at once otherwise. Shared
+  /// actions and flag_peek do this themselves; SccMachine::launch does it
+  /// for a program's trailing private time.
+  struct SyncAwaiter {
+    CoreApi* api;
+    [[nodiscard]] bool await_ready() const noexcept {
+      return api->local_ == SimTime::zero();
+    }
+    void await_suspend(std::coroutine_handle<> h) const { api->flush(h); }
+    void await_resume() const noexcept {}
+  };
+  [[nodiscard]] SyncAwaiter sync() { return SyncAwaiter{this}; }
+
+  // --- time-only operations (private) ----------------------------------
   /// Application arithmetic: n core cycles of compute.
-  [[nodiscard]] sim::Task<> compute(std::uint64_t core_cycles);
+  [[nodiscard]] Charged compute(std::uint64_t core_cycles);
   /// Library instruction-path overhead: n core cycles.
-  [[nodiscard]] sim::Task<> overhead(std::uint64_t core_cycles);
+  [[nodiscard]] Charged overhead(std::uint64_t core_cycles);
   /// Busy poll-loop cycles inside rcce_wait_until-style spin waits, charged
   /// to Phase::kFlagWait: a function-level profiler attributes them to the
   /// wait primitive even when the flag is already up (paper Section IV-A).
   /// `after_cycles` names the preceding same-site charge: the poll duration
   /// is computed as cycles(after + poll) - cycles(after) so a split charge
   /// pair sums bit-exactly to the unsplit total (Clock::cycles rounds).
-  [[nodiscard]] sim::Task<> wait_poll(std::uint64_t core_cycles,
-                                      std::uint64_t after_cycles = 0);
-  /// Raw charge attributed to an explicit phase.
-  [[nodiscard]] sim::Task<> charge(Phase phase, SimTime duration);
+  [[nodiscard]] Charged wait_poll(std::uint64_t core_cycles,
+                                  std::uint64_t after_cycles = 0);
+  /// Raw charge attributed to an explicit phase. Every private charge
+  /// ends here: record, then add to the local offset.
+  [[nodiscard]] Charged charge(Phase phase, SimTime duration);
 
-  // --- MPB data movement ----------------------------------------------
+  // --- MPB data movement (shared) --------------------------------------
   /// Copies bytes from this core's private buffer into an MPB.
   [[nodiscard]] sim::Task<> mpb_put(mem::MpbAddr dst,
                                     std::span<const std::byte> src);
@@ -105,24 +147,24 @@ class CoreApi {
                                             sim::SmallCallable apply);
 
   /// Direct functional access to MPB storage (no charge): used by fused
-  /// kernels together with mpb_charge, and by tests. Partition-local on a
-  /// partitioned machine (audited): remote windows cannot be touched from
-  /// another partition's event handler -- use mpb_put/mpb_get/
-  /// mpb_word_get/mpb_apply_write, which route the effect through the
-  /// owner's partition.
+  /// kernels together with mpb_charge, and by tests. The core must be
+  /// synced. Partition-local on a partitioned machine (audited): remote
+  /// windows cannot be touched from another partition's event handler --
+  /// use mpb_put/mpb_get/mpb_word_get/mpb_apply_write, which route the
+  /// effect through the owner's partition.
   [[nodiscard]] std::span<std::byte> mpb_window(mem::MpbAddr addr,
                                                 std::size_t bytes);
 
   // --- private (cacheable, off-chip) memory ----------------------------
-  [[nodiscard]] sim::Task<> priv_read(const void* p, std::size_t bytes);
-  [[nodiscard]] sim::Task<> priv_write(void* p, std::size_t bytes);
+  [[nodiscard]] Charged priv_read(const void* p, std::size_t bytes);
+  [[nodiscard]] Charged priv_write(void* p, std::size_t bytes);
 
-  // --- synchronization flags -------------------------------------------
+  // --- synchronization flags (shared) ----------------------------------
   /// Writes a flag value (local or remote MPB write + fence).
   [[nodiscard]] sim::Task<> flag_set(FlagRef ref, FlagValue value);
   /// Blocks until the flag equals `value`; charges the detecting read (the
-  /// final poll iteration). Wait time and the detecting read are both
-  /// attributed to Phase::kFlagWait (rcce_wait_until).
+  /// final poll iteration) as private time. Wait time and the detecting
+  /// read are both attributed to Phase::kFlagWait (rcce_wait_until).
   [[nodiscard]] sim::Task<> flag_wait(FlagRef ref, FlagValue value);
   /// Blocks until the flag differs from `last_seen`; returns the new value
   /// and charges the detecting read. Used for cumulative-counter flags
@@ -132,8 +174,15 @@ class CoreApi {
                                                       FlagValue last_seen);
   /// Non-blocking probe: charges one flag read, returns current value.
   [[nodiscard]] sim::Task<FlagValue> flag_read(FlagRef ref);
-  /// Zero-cost peek for simulator-internal decisions (not charged).
-  [[nodiscard]] FlagValue flag_peek(FlagRef ref) const;
+  /// Zero-cost peek for simulator-internal decisions (not charged): syncs
+  /// the core, then yields the flag's value at the core's time.
+  struct PeekAwaiter : SyncAwaiter {
+    FlagRef ref;
+    [[nodiscard]] FlagValue await_resume() const {
+      return api->peek_synced(ref);
+    }
+  };
+  [[nodiscard]] PeekAwaiter flag_peek(FlagRef ref) { return {{this}, ref}; }
 
   // --- harness-only ------------------------------------------------------
   /// Zero-cost rendezvous of all cores; exists so experiments can align
@@ -141,11 +190,21 @@ class CoreApi {
   [[nodiscard]] sim::Task<> sync_barrier();
 
  private:
-  /// `detail` annotates the traced interval (e.g. "set 3:7" on the flag-set
-  /// charge so the blame engine can match waiters to their setter); empty
-  /// detail keeps the old behaviour.
-  [[nodiscard]] sim::Task<> charge_impl(Phase phase, SimTime duration,
-                                        std::string detail = {});
+  /// Profiles `duration` under `phase` and traces it from now(). `detail`
+  /// annotates the traced interval (e.g. "set 3:7" on the flag-set charge
+  /// so the blame engine can match waiters to their setter).
+  void record(Phase phase, SimTime duration, std::string detail = {});
+  /// A shared charge on a synced core: record, count its event and return
+  /// the engine sleep that ends it (defined and used in core_api.cpp).
+  auto charge_shared(Phase phase, SimTime duration, std::string detail = {});
+  /// Sleeps `h` for the local offset and clears it; the event counts
+  /// under the phase of the last private charge it closes.
+  void flush(std::coroutine_handle<> h);
+  /// flag_peek's read, on a synced core.
+  [[nodiscard]] FlagValue peek_synced(FlagRef ref) const;
+  /// The detecting read that ends a flag wait: one flag-line read plus the
+  /// flag-op instruction path.
+  [[nodiscard]] SimTime detect_read(FlagRef ref) const;
   /// Extra queueing delay from the optional link-contention model.
   [[nodiscard]] SimTime contention_delay(int from, int to, std::size_t bytes);
   /// True when `core` lives on another event-loop partition (always false
@@ -157,6 +216,8 @@ class CoreApi {
   int partition_;
   sim::Engine* engine_;  // the rank's partition engine (cached)
   CoreProfile profile_;
+  SimTime local_;  // private time not yet synced to the engine
+  Phase local_phase_ = Phase::kCompute;  // phase of the last private charge
 };
 
 }  // namespace scc::machine

@@ -36,10 +36,17 @@ enum class Phase : std::uint8_t {
   return "?";
 }
 
+/// Per-phase virtual time, plus the number of engine events that end a
+/// charge of each phase (the host-cost split of the same work).
 class CoreProfile {
  public:
   void add(Phase p, SimTime t) { time_[index(p)] += t; }
   [[nodiscard]] SimTime get(Phase p) const { return time_[index(p)]; }
+
+  void note_event(Phase p) { ++events_[index(p)]; }
+  [[nodiscard]] std::uint64_t events(Phase p) const {
+    return events_[index(p)];
+  }
 
   [[nodiscard]] SimTime total() const {
     SimTime sum;
@@ -47,13 +54,18 @@ class CoreProfile {
     return sum;
   }
 
-  void reset() { time_.fill(SimTime::zero()); }
+  void reset() {
+    time_.fill(SimTime::zero());
+    events_.fill(0);
+  }
 
  private:
   static constexpr std::size_t index(Phase p) {
     return static_cast<std::size_t>(p);
   }
   std::array<SimTime, static_cast<std::size_t>(Phase::kCount)> time_{};
+  std::array<std::uint64_t, static_cast<std::size_t>(Phase::kCount)>
+      events_{};
 };
 
 }  // namespace scc::machine

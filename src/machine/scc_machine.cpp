@@ -31,6 +31,13 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// A launched program, then its trailing private time: the engine's clock
+/// ends where the core's time does.
+sim::Task<> run_to_sync(CoreApi& api, sim::Task<> program) {
+  co_await std::move(program);
+  co_await api.sync();
+}
+
 std::vector<int> core_partitions(const noc::Topology& topology,
                                  int partitions) {
   std::vector<int> map(static_cast<std::size_t>(topology.num_cores()));
@@ -121,7 +128,8 @@ SccMachine::SccMachine(SccConfig config)
 
 void SccMachine::launch(int rank, sim::Task<> program) {
   SCC_EXPECTS(rank >= 0 && rank < num_cores());
-  engine_of_core(rank).spawn(std::move(program), strprintf("core%d", rank));
+  engine_of_core(rank).spawn(run_to_sync(core(rank), std::move(program)),
+                             strprintf("core%d", rank));
 }
 
 void SccMachine::run() {

@@ -131,7 +131,8 @@ class SccMachine {
   }
 
   /// Registers `program` to start on core `rank` at the current time (on
-  /// the rank's partition engine).
+  /// the rank's partition engine). When it returns, the core syncs its
+  /// trailing private time (core_api.hpp), so the run ends at its time.
   void launch(int rank, sim::Task<> program);
 
   /// Runs until every launched program finishes. Throws on deadlock.

@@ -32,14 +32,11 @@ SimTime LinkContention::occupy_split(
   if (lines == 0) return SimTime::zero();
   const SimTime service =
       mesh_clock_.cycles(lines * service_cycles_per_line_);
-  std::vector<LinkId> xy_route;
-  if (!route_fn_) xy_route = topo_->route(a, b);
-  const std::vector<LinkId>& route = route_fn_ ? route_fn_(a, b) : xy_route;
   SimTime delay;
   // Head-flit progress: the head reaches link i only after traversing the
   // i preceding links, each at its (possibly fault-stretched) hop latency.
   SimTime head_offset;
-  for (const LinkId& link : route) {
+  const auto visit = [&](const LinkId& link) {
     const double factor =
         link_factor_fn_ ? link_factor_fn_(link) : 1.0;
     // The window starts once the head flit arrives (departure + upstream
@@ -48,7 +45,7 @@ SimTime LinkContention::occupy_split(
     if (owned && !owned(link)) {
       foreign(link, lines, arrival);
       head_offset += scale_time(hop_latency_, factor);
-      continue;
+      return;
     }
     const SimTime link_service = scale_time(service, factor);
     SimTime& busy = busy_until_[key_of(link)];
@@ -64,6 +61,11 @@ SimTime LinkContention::occupy_split(
       trace_->link_window(link_name(link), start, busy, start - arrival);
     }
     head_offset += scale_time(hop_latency_, factor);
+  };
+  if (route_fn_) {
+    for (const LinkId& link : route_fn_(a, b)) visit(link);
+  } else {
+    topo_->for_each_link(a, b, visit);
   }
   if (delay > SimTime::zero()) {
     total_delay_ += delay;

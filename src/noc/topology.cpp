@@ -57,19 +57,7 @@ int Topology::min_partition_separation_hops(int partitions) const {
 
 std::vector<LinkId> Topology::route(CoreId a, CoreId b) const {
   std::vector<LinkId> links;
-  TileCoord cur = coord_of(a);
-  const TileCoord dst = coord_of(b);
-  // Dimension-ordered: X first, then Y.
-  while (cur.x != dst.x) {
-    const TileCoord next{cur.x + (dst.x > cur.x ? 1 : -1), cur.y};
-    links.push_back({cur, next});
-    cur = next;
-  }
-  while (cur.y != dst.y) {
-    const TileCoord next{cur.x, cur.y + (dst.y > cur.y ? 1 : -1)};
-    links.push_back({cur, next});
-    cur = next;
-  }
+  for_each_link(a, b, [&](const LinkId& link) { links.push_back(link); });
   return links;
 }
 

@@ -66,8 +66,27 @@ class Topology {
 
   [[nodiscard]] TileCoord mc_coord(int mc_index) const;
 
-  /// XY route between two cores' routers as a sequence of directed links
-  /// (empty when both cores share a tile). Used for traffic accounting.
+  /// Calls fn(LinkId) for each directed link of the XY route between two
+  /// cores' routers, in order (none when both cores share a tile); the one
+  /// definition of the routing rule, and allocation-free.
+  template <typename Fn>
+  void for_each_link(CoreId a, CoreId b, Fn&& fn) const {
+    TileCoord cur = coord_of(a);
+    const TileCoord dst = coord_of(b);
+    // Dimension-ordered: X first, then Y.
+    while (cur.x != dst.x) {
+      const TileCoord next{cur.x + (dst.x > cur.x ? 1 : -1), cur.y};
+      fn(LinkId{cur, next});
+      cur = next;
+    }
+    while (cur.y != dst.y) {
+      const TileCoord next{cur.x, cur.y + (dst.y > cur.y ? 1 : -1)};
+      fn(LinkId{cur, next});
+      cur = next;
+    }
+  }
+
+  /// The for_each_link route as a sequence of directed links.
   [[nodiscard]] std::vector<LinkId> route(CoreId a, CoreId b) const;
 
   /// Conservative-PDES partition map: contiguous column slabs of tiles,

@@ -2,11 +2,16 @@
 // mesh link. Purely observational (the paper's latency formulas are
 // contention-free); used by the topology_explorer example and by tests that
 // check the collectives' communication volume.
+//
+// Recording a transfer visits the XY route in place
+// (Topology::for_each_link) and adds into a dense per-link array (four
+// directed links per router), so the per-access path neither allocates nor
+// searches. Fault reroutes use the stored route of the FaultModel instead.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "noc/topology.hpp"
@@ -20,7 +25,9 @@ class TrafficMatrix {
   using RouteFn =
       std::function<const std::vector<LinkId>&(CoreId, CoreId)>;
 
-  explicit TrafficMatrix(const Topology& topo) : topo_(&topo) {}
+  explicit TrafficMatrix(const Topology& topo)
+      : topo_(&topo),
+        link_lines_(static_cast<std::size_t>(topo.num_tiles()) * kDirections) {}
 
   /// Install a route override (empty resets to the topology's XY router).
   /// Set by SccMachine when a fault model kills links, so per-link traffic
@@ -43,7 +50,8 @@ class TrafficMatrix {
     LinkId link;
     std::uint64_t lines;
   };
-  /// All links with nonzero traffic, heaviest first.
+  /// All links with nonzero traffic, heaviest first (equal loads in
+  /// (from.x, from.y, to.x, to.y) order before the sort).
   [[nodiscard]] std::vector<LinkLoad> loads() const;
 
   /// Accumulates another matrix's counters into this one (same topology).
@@ -56,18 +64,16 @@ class TrafficMatrix {
   void reset();
 
  private:
-  struct CoordLess {
-    bool operator()(const LinkId& a, const LinkId& b) const {
-      const auto key = [](const LinkId& l) {
-        return std::tuple(l.from.x, l.from.y, l.to.x, l.to.y);
-      };
-      return key(a) < key(b);
-    }
-  };
+  // Directions of a router's outgoing links, in the order of their far
+  // end's (x, y): index order is (from.x, from.y, to.x, to.y) order.
+  enum Direction : std::size_t { kWest, kSouth, kNorth, kEast, kDirections };
+
+  [[nodiscard]] std::size_t link_index(const LinkId& link) const;
+  [[nodiscard]] LinkId link_at(std::size_t index) const;
 
   const Topology* topo_;
   RouteFn route_fn_;
-  std::map<LinkId, std::uint64_t, CoordLess> link_lines_;
+  std::vector<std::uint64_t> link_lines_;  // indexed by link_index
   std::uint64_t lines_sent_ = 0;
 };
 

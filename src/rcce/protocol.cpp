@@ -47,8 +47,9 @@ sim::Task<> ack_sender(machine::CoreApi& api, const Layout& layout, int src) {
   co_await api.flag_set(layout.ready_flag(src, api.rank()), 1);
 }
 
-bool sent_is_up(machine::CoreApi& api, const Layout& layout, int src) {
-  return api.flag_peek(layout.sent_flag(api.rank(), src)) != 0;
+machine::CoreApi::PeekAwaiter sent_is_up(machine::CoreApi& api,
+                                         const Layout& layout, int src) {
+  return api.flag_peek(layout.sent_flag(api.rank(), src));
 }
 
 sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
@@ -63,7 +64,7 @@ sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
   bool send_pending = true;  // the pre-staged chunk is awaiting its ack
   while (recv_pending || send_pending) {
     bool progressed = false;
-    if (recv_pending && sent_is_up(api, layout, src)) {
+    if (recv_pending && co_await sent_is_up(api, layout, src)) {
       const std::size_t len =
           std::min(layout.chunk_bytes(), rdata.size() - rdone);
       co_await await_and_fetch(api, layout, rdata.subspan(rdone, len), src);
@@ -73,7 +74,7 @@ sim::Task<> complete_exchange(machine::CoreApi& api, const Layout& layout,
       progressed = true;
     }
     if (send_pending &&
-        api.flag_peek(layout.ready_flag(self, dest)) != 0) {
+        co_await api.flag_peek(layout.ready_flag(self, dest)) != 0) {
       co_await await_ack(api, layout, dest);
       if (sdone < sdata.size()) {
         const std::size_t len =

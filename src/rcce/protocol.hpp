@@ -43,10 +43,11 @@ sim::Task<> await_and_fetch(machine::CoreApi& api, const Layout& layout,
 /// Receiver half-step 2: raise `ready` at the sender.
 sim::Task<> ack_sender(machine::CoreApi& api, const Layout& layout, int src);
 
-/// True if `sent` from `src` is already raised (zero-cost probe used by the
-/// non-blocking engines' test paths; the charged read happens on fetch).
-[[nodiscard]] bool sent_is_up(machine::CoreApi& api, const Layout& layout,
-                              int src);
+/// Awaits to the value of `sent` from `src`, nonzero once raised (zero-cost
+/// probe used by the non-blocking engines' test paths; the charged read
+/// happens on fetch).
+[[nodiscard]] machine::CoreApi::PeekAwaiter sent_is_up(
+    machine::CoreApi& api, const Layout& layout, int src);
 
 /// Completes an in-flight bidirectional exchange whose messages may exceed
 /// one MPB chunk: alternates between fetching available receive chunks from

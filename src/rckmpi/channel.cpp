@@ -72,16 +72,14 @@ void Channel::advance_counter(std::uint32_t& counter,
   counter += delta;
 }
 
-void Channel::refresh_tx(int dest) {
-  auto& pair = tx_[static_cast<std::size_t>(dest)];
-  advance_counter(pair.lines_acked,
-                  api_->flag_peek(layout_->free_flag(rank(), dest)));
+Channel::Refresh Channel::refresh_tx(int dest) {
+  return {api_->flag_peek(layout_->free_flag(rank(), dest)),
+          &tx_[static_cast<std::size_t>(dest)].lines_acked};
 }
 
-void Channel::refresh_rx(int src) {
-  auto& pair = rx_[static_cast<std::size_t>(src)];
-  advance_counter(pair.lines_written,
-                  api_->flag_peek(layout_->filled_flag(rank(), src)));
+Channel::Refresh Channel::refresh_rx(int src) {
+  return {api_->flag_peek(layout_->filled_flag(rank(), src)),
+          &rx_[static_cast<std::size_t>(src)].lines_written};
 }
 
 std::uint32_t Channel::tx_credits(int dest) const {
@@ -95,10 +93,9 @@ std::uint32_t Channel::rx_available(int src) const {
   return pair.lines_written - pair.lines_consumed;
 }
 
-bool Channel::incoming(int src) const {
-  auto* self = const_cast<Channel*>(this);
-  self->refresh_rx(src);
-  return rx_available(src) > 0;
+sim::Task<bool> Channel::incoming(int src) {
+  co_await refresh_rx(src);
+  co_return rx_available(src) > 0;
 }
 
 sim::Task<> Channel::push_burst(int dest, std::span<const std::byte> payload,
@@ -191,7 +188,7 @@ sim::Task<> Channel::push_burst(int dest, std::span<const std::byte> payload,
 
 sim::Task<PacketHeader> Channel::read_header(int src) {
   auto& pair = rx_[static_cast<std::size_t>(src)];
-  refresh_rx(src);
+  co_await refresh_rx(src);
   while (rx_available(src) == 0) {
     const auto value = co_await api_->flag_wait_change(
         layout_->filled_flag(rank(), src),
@@ -255,7 +252,7 @@ sim::Task<> Channel::send(std::span<const std::byte> data, int dest,
       1 + static_cast<std::uint32_t>(mem::lines_for(data.size()));
   std::uint32_t cursor = 0;
   while (cursor < total_lines) {
-    refresh_tx(dest);
+    co_await refresh_tx(dest);
     if (tx_credits(dest) == 0) {
       ++layout_->stats(rank()).credit_stalls;
       const auto value = co_await api_->flag_wait_change(
@@ -277,7 +274,7 @@ sim::Task<> Channel::recv(std::span<std::byte> data, int src, int tag) {
   std::size_t cursor = 0;
   auto& pair = rx_[static_cast<std::size_t>(src)];
   while (cursor < data.size()) {
-    refresh_rx(src);
+    co_await refresh_rx(src);
     if (rx_available(src) == 0) {
       const auto value = co_await api_->flag_wait_change(
           layout_->filled_flag(rank(), src),
@@ -308,7 +305,7 @@ sim::Task<> Channel::sendrecv(std::span<const std::byte> sdata, int dest,
   while (send_cursor < send_total || !recv_done()) {
     bool progressed = false;
     if (!recv_done()) {
-      refresh_rx(src);
+      co_await refresh_rx(src);
       if (rx_available(src) > 0) {
         if (!header_done) {
           const PacketHeader header = co_await read_header(src);
@@ -322,7 +319,7 @@ sim::Task<> Channel::sendrecv(std::span<const std::byte> sdata, int dest,
       }
     }
     if (send_cursor < send_total) {
-      refresh_tx(dest);
+      co_await refresh_tx(dest);
       if (tx_credits(dest) > 0) {
         co_await push_burst(dest, sdata, tag, send_cursor, tx_credits(dest));
         progressed = true;

@@ -131,7 +131,7 @@ class Channel {
                        std::uint32_t call_overhead_cycles = 0);
 
   /// True when a header line from `src` is waiting (zero-cost probe).
-  [[nodiscard]] bool incoming(int src) const;
+  [[nodiscard]] sim::Task<bool> incoming(int src);
 
   /// Folds the (mod-256) flag value into the 32-bit cumulative counter.
   /// Public (and static) so tests can exercise the wraparound arithmetic
@@ -155,10 +155,17 @@ class Channel {
     std::uint32_t lines_consumed = 0;  // cumulative lines consumed
   };
 
-  /// Zero-cost refresh of the peer counters from flag peeks (the polling
-  /// half of the duplex progress loop).
-  void refresh_tx(int dest);
-  void refresh_rx(int src);
+  /// Zero-cost refresh of a peer counter from a flag peek (the polling
+  /// half of the duplex progress loop). Awaiting it syncs the core, like
+  /// the peek it wraps.
+  struct Refresh : machine::CoreApi::PeekAwaiter {
+    std::uint32_t* counter;
+    void await_resume() const {
+      advance_counter(*counter, PeekAwaiter::await_resume());
+    }
+  };
+  [[nodiscard]] Refresh refresh_tx(int dest);
+  [[nodiscard]] Refresh refresh_rx(int src);
 
   /// Sender-side: write up to `max_lines` lines of the framed message
   /// (header line + payload) and bump the filled counter once.

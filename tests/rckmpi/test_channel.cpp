@@ -309,9 +309,9 @@ TEST(Channel, IncomingProbe) {
     static sim::Task<> probe(machine::CoreApi& api, const ChannelLayout* l,
                              bool* before, bool* after) {
       Channel channel(api, *l);
-      *before = channel.incoming(1);
+      *before = co_await channel.incoming(1);
       co_await api.compute(1000000);  // let the sender run
-      *after = channel.incoming(1);
+      *after = co_await channel.incoming(1);
       std::vector<std::byte> sink(16);
       co_await channel.recv(sink, 1, 3);
     }
